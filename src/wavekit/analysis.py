@@ -17,7 +17,7 @@ from .moments import moments_quadrature, spreading_width_sq, ehrenfest_position
 from .propagation import evolve_closed
 
 __all__ = [
-    "simpson_nonuniform",
+    "simpson_or_trapezoid",
     "evolved_moments",
     "ridge_slope",
     "second_difference_sign_changes",
@@ -25,7 +25,7 @@ __all__ = [
 ]
 
 
-def simpson_nonuniform(y, x):
+def simpson_or_trapezoid(y, x):
     """Composite Simpson on a uniform mesh, trapezoid otherwise."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -37,9 +37,9 @@ def simpson_nonuniform(y, x):
 
 
 def _grid_stats(x, dens):
-    mass = simpson_nonuniform(dens, x)
-    mean = simpson_nonuniform(x * dens, x)
-    second = simpson_nonuniform(x * x * dens, x)
+    mass = simpson_or_trapezoid(dens, x)
+    mean = simpson_or_trapezoid(x * dens, x)
+    second = simpson_or_trapezoid(x * x * dens, x)
     return mass, mean, second
 
 

@@ -13,15 +13,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from .dispersion import Kind
 from .errors import InvalidBoost, KindMismatch
 from .moments import MomentSet, Provenance, moments_quadrature
-from .numerics import DEFAULT_SPEC, _adaptive, _line_window
-from .packet import PacketParams, density_decay_rate, expectation_many, make_minimal
+from .numerics import DEFAULT_SPEC, _line_integral
+from .packet import density_decay_rate, expectation_many, make_minimal
 
 __all__ = [
     "BoostParams",
@@ -57,7 +57,6 @@ class BoostedWave:
     u: float
     mass: float
     decay_rate: float
-    source_packet: Optional[PacketParams] = None
 
     def __call__(self, p_prime):
         return self.evaluator(p_prime)
@@ -88,9 +87,7 @@ def lorentz_boost_params(alpha, beta_r, u):
     )
 
 
-def lorentz_boost_wavefunction(
-    psi, u, mass, decay_rate=1.0, source_packet=None, spec=DEFAULT_SPEC
-):
+def lorentz_boost_wavefunction(psi, u, mass, decay_rate=1.0):
     """Boost an arbitrary normalized momentum-space wave function.
 
     Uses the explicit inverse map p = gamma [p' + u E'(p')] and the real
@@ -122,7 +119,6 @@ def lorentz_boost_wavefunction(
         u=float(u),
         mass=m,
         decay_rate=boosted_rate,
-        source_packet=source_packet,
     )
 
 
@@ -131,16 +127,13 @@ def boost_minimal_packet(packet, u, spec=DEFAULT_SPEC):
     if packet.rel.kind is not Kind.RELATIVISTIC:
         raise KindMismatch("wave-function boosts are defined for the relativistic kind")
     rate = density_decay_rate(packet.rel, packet.alpha, packet.beta_r, power=2, spec=spec)
-    return lorentz_boost_wavefunction(
-        packet.amplitude, u, packet.rel.mass, decay_rate=rate, source_packet=packet, spec=spec
-    )
+    return lorentz_boost_wavefunction(packet.amplitude, u, packet.rel.mass, decay_rate=rate)
 
 
 def boosted_wave_moments(wave, spec=DEFAULT_SPEC):
     """Direct quadrature moments of |Psi_b(p')|^2: norm, <E>, <p>, <v>, <v^2>,
     and <E^-3> (the boosted-frame uncertainty-bound weight)."""
     m = wave.mass
-    window = _line_window(wave.decay_rate, spec)
 
     def f(p_prime):
         vals = wave.evaluator(p_prime)
@@ -152,7 +145,7 @@ def boosted_wave_moments(wave, spec=DEFAULT_SPEC):
         )
         return w * dens[:, np.newaxis]
 
-    vals, _ = _adaptive(f, -window, window, spec, breakpoints=(0.0,), initial_panels=8)
+    vals, _ = _line_integral(f, wave.decay_rate, spec)
     vals = vals.real
     return {
         "norm": float(vals[0]),

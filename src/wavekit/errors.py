@@ -22,10 +22,6 @@ class NonConvergence(WavekitError, RuntimeError):
         self.abs_error = abs_error
 
 
-# Root-finding code reports the same failure mode under this name.
-NoConvergence = NonConvergence
-
-
 class OverflowSignal(WavekitError, OverflowError):
     """A result magnitude exceeds the representable floating-point range."""
 

@@ -83,14 +83,13 @@ class ComplexAmplitude:
 
 
 def _eval_points(f, pts):
-    """Evaluate an integrand, falling back to a point loop if it is not
-    vectorized over the sample axis."""
-    try:
-        vals = np.asarray(f(pts), dtype=complex)
-    except (TypeError, ValueError):
-        vals = np.asarray([f(p) for p in pts], dtype=complex)
-    if vals.shape[: 1] != pts.shape:
-        vals = np.asarray([f(p) for p in pts], dtype=complex)
+    """Evaluate an integrand that is vectorized over the sample axis."""
+    vals = np.asarray(f(pts), dtype=complex)
+    if vals.shape[:1] != pts.shape:
+        raise InvalidInput(
+            "integrand returned shape %s for %d points; the leading axis "
+            "must be the sample axis" % (vals.shape, len(pts))
+        )
     return vals
 
 
@@ -166,9 +165,19 @@ def _adaptive(f, lo, hi, spec, breakpoints=(), initial_panels=1):
         splits += 1
 
 
-def _line_window(decay_rate, spec):
-    floor = max(spec.absolute_floor, 1e-18)
-    return (math.log(1.0 / floor) + _WINDOW_SAFETY) / decay_rate
+def _tail_budget(spec):
+    """Decay exponent past which an integrand's tail sits below the absolute
+    floor by the safety margin."""
+    return math.log(1.0 / max(spec.absolute_floor, 1e-18)) + _WINDOW_SAFETY
+
+
+def _line_integral(f, decay_rate, spec, breakpoints=()):
+    """Adaptive integral over the real line of ``f`` decaying like
+    ``exp(-decay_rate |p|)``, truncated where the tail budget is spent;
+    returns (value, err) arrays."""
+    window = _tail_budget(spec) / decay_rate
+    pts = (0.0,) + tuple(breakpoints)
+    return _adaptive(f, -window, window, spec, breakpoints=pts, initial_panels=8)
 
 
 def integrate_line(f, decay_rate=None, spec=DEFAULT_SPEC, *, breakpoints=()):
@@ -181,22 +190,15 @@ def integrate_line(f, decay_rate=None, spec=DEFAULT_SPEC, *, breakpoints=()):
     rate = spec.truncation_decay_rate if decay_rate is None else decay_rate
     if rate <= 0.0 or not math.isfinite(rate):
         raise InvalidInput("decay_rate must be > 0")
-    window = _line_window(rate, spec)
-    pts = (0.0,) + tuple(breakpoints)
-    value, err = _adaptive(f, -window, window, spec, breakpoints=pts, initial_panels=8)
+    value, err = _line_integral(f, rate, spec, breakpoints)
     return ComplexAmplitude(complex(value), float(np.max(err)))
-
-
-def _integrate_interval(f, lo, hi, spec=DEFAULT_SPEC, breakpoints=(), initial_panels=1):
-    """Adaptive integral on a finite interval; returns (value, err) arrays."""
-    return _adaptive(f, lo, hi, spec, breakpoints=breakpoints, initial_panels=initial_panels)
 
 
 def _integrate_halfline(f, decay_rate, spec=DEFAULT_SPEC, breakpoints=(), initial_panels=4):
     """Adaptive integral on [0, inf) of an exponentially decaying integrand."""
     if decay_rate <= 0.0:
         raise InvalidInput("decay_rate must be > 0")
-    window = _line_window(decay_rate, spec)
+    window = _tail_budget(spec) / decay_rate
     return _adaptive(f, 0.0, window, spec, breakpoints=breakpoints, initial_panels=initial_panels)
 
 
@@ -387,8 +389,7 @@ def _k01_quadrature(z, spec=DEFAULT_SPEC):
     re_min = float(np.min(z.real))
     if re_min <= 0.0:
         raise InvalidInput("K_v integral representation requires Re z > 0")
-    floor = max(spec.absolute_floor, 1e-18)
-    budget = (math.log(1.0 / floor) + _WINDOW_SAFETY) / re_min
+    budget = _tail_budget(spec) / re_min
     upper = math.acosh(max(budget, 1.0) + 0.5)
     extra = (np.newaxis,) * z.ndim
 

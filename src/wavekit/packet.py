@@ -17,16 +17,16 @@ from .errors import (
     InvalidInput,
     InvalidParams,
     LatticePeriodicityError,
-    NoConvergence,
+    NonConvergence,
     Unsatisfiable,
 )
 from .numerics import (
     DEFAULT_SPEC,
-    _WINDOW_SAFETY,
     _adaptive,
     _bessel_i_vec,
     _bessel_k01_vec,
-    _line_window,
+    _line_integral,
+    _tail_budget,
 )
 
 __all__ = ["PacketParams", "MomentTargets", "make_minimal", "solve_parameters"]
@@ -110,7 +110,7 @@ def density_decay_rate(rel, alpha, beta_r, power=2, spec=DEFAULT_SPEC):
     s = 0.5 * power
     if rel.kind is Kind.NON_RELATIVISTIC:
         m = rel.mass
-        budget = math.log(1.0 / max(spec.absolute_floor, 1e-18)) + _WINDOW_SAFETY
+        budget = _tail_budget(spec)
         # Solve s*alpha*P^2/m - 2*s*|beta_r|*P = budget for the window P.
         b = abs(beta_r)
         window = (b + math.sqrt(b * b + alpha * budget / (s * m))) * m / alpha
@@ -138,14 +138,7 @@ def expectation_many(packet, weight, spec=DEFAULT_SPEC):
         return _adaptive(f, -cut, cut, spec, initial_panels=8)
 
     rate = density_decay_rate(rel, packet.alpha, packet.beta_r, power=2, spec=spec)
-    window = _line_window(rate, spec)
-    return _adaptive(f, -window, window, spec, breakpoints=(0.0,), initial_panels=8)
-
-
-def expectation(packet, weight, spec=DEFAULT_SPEC):
-    """Scalar expectation value of a momentum-space weight."""
-    vals, errs = expectation_many(packet, lambda p: np.asarray(weight(p))[:, np.newaxis], spec)
-    return complex(vals[0]), float(errs[0])
+    return _line_integral(f, rate, spec)
 
 
 def closed_form_norm_constant(rel, alpha, beta_r):
@@ -193,77 +186,33 @@ def make_minimal(rel, alpha, beta_r=0.0, beta_i=0.0, spec=DEFAULT_SPEC):
     return PacketParams(rel, alpha, beta_r, beta_i, norm_A=1.0 / math.sqrt(norm_sq))
 
 
-def _mean_velocity_of(rel, alpha, beta_r, spec):
-    packet = make_minimal(rel, alpha, beta_r, 0.0, spec)
-    vals, _ = expectation_many(
-        packet, lambda p: rel.velocity(p)[:, np.newaxis], spec
-    )
-    return float(np.real(vals[0]))
-
-
-def _solve_beta_r(rel, alpha, target_v, spec):
-    """Bisection for beta_r such that the packet's quadrature <v> matches."""
-    if rel.kind is Kind.LATTICE:
-        if target_v != 0.0:
-            raise Unsatisfiable("lattice minimal packets do not move sideways")
-        return 0.0
-    if rel.kind in (Kind.RELATIVISTIC, Kind.MASSLESS):
-        eps = 1e-6 * alpha
-        lo, hi = -alpha + eps, alpha - eps
-    else:
-        half = alpha * (abs(target_v) + 1.0)
-        lo, hi = -half, half
-        for _ in range(60):
-            if _mean_velocity_of(rel, alpha, lo, spec) < target_v:
-                break
-            lo *= 2.0
-        for _ in range(60):
-            if _mean_velocity_of(rel, alpha, hi, spec) > target_v:
-                break
-            hi *= 2.0
-
-    f_lo = _mean_velocity_of(rel, alpha, lo, spec) - target_v
-    f_hi = _mean_velocity_of(rel, alpha, hi, spec) - target_v
-    if f_lo > 0.0 or f_hi < 0.0:
-        raise Unsatisfiable(
-            "mean velocity %g not reachable for this dispersion" % target_v
-        )
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        f_mid = _mean_velocity_of(rel, alpha, mid, spec) - target_v
-        if f_mid == 0.0 or hi - lo < 1e-15 * max(1.0, alpha):
-            return mid
-        if f_mid < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if abs(f_mid) < 1e-12 * max(1.0, abs(target_v)):
-            return mid
-    raise NoConvergence("beta_r bisection did not converge")
-
-
 def _width_of(rel, alpha, target_v, spec):
-    beta_r = _solve_beta_r(rel, alpha, target_v, spec)
+    """Position uncertainty of the packet with <v> = target_v centred at
+    x = 0 (beta_i = 0).
+
+    There x Phi = i(beta_r - alpha v) Phi and <x> = 0, so
+    Dx^2 = <(beta_r - alpha v)^2>.
+    """
+    beta_r = alpha * target_v
     packet = make_minimal(rel, alpha, beta_r, 0.0, spec)
 
     def w(p):
-        v = rel.velocity(p)
-        d = beta_r - alpha * v
-        return np.stack([d * d, np.ones_like(v)], axis=1)
+        d = beta_r - alpha * rel.velocity(p)
+        return (d * d)[:, np.newaxis]
 
     vals, _ = expectation_many(packet, w, spec)
-    # <x^2> - <x>^2 at beta_i = 0 equals <(beta_r - alpha v)^2> - 0 ... minus
-    # the squared mean shift, which vanishes for centered packets.
-    x2 = float(np.real(vals[0]))
-    return math.sqrt(x2 - 0.0), beta_r
+    return math.sqrt(float(np.real(vals[0])))
 
 
 def solve_parameters(rel, targets, mode="alpha", spec=DEFAULT_SPEC):
     """Solve packet parameters from physical targets.
 
-    ``mode='alpha'`` takes ``targets.width_parameter`` as alpha directly;
-    ``mode='width'`` additionally adjusts alpha by outer bisection until the
-    quadrature position uncertainty matches the target.
+    Integrating d|Phi|^2/dp = 2(beta_r - alpha v)|Phi|^2 over the packet's
+    domain gives <v> = beta_r / alpha for every kind, so beta_r is
+    ``alpha * targets.mean_velocity`` without a search. ``mode='alpha'``
+    takes ``targets.width_parameter`` as alpha directly. ``mode='width'``
+    brackets alpha and bisects until the quadrature position uncertainty
+    matches the target; each step builds one packet and runs one quadrature.
     """
     if mode not in ("alpha", "width"):
         raise InvalidInput("mode must be 'alpha' or 'width'")
@@ -278,38 +227,38 @@ def solve_parameters(rel, targets, mode="alpha", spec=DEFAULT_SPEC):
         if abs(targets.mean_position / a - round(targets.mean_position / a)) > _SITE_TOL:
             raise Unsatisfiable("lattice packets must be centered on a lattice site")
 
+    v = float(targets.mean_velocity)
     beta_i = -float(targets.mean_position)
     if mode == "alpha":
         alpha = float(targets.width_parameter)
-        beta_r = _solve_beta_r(rel, alpha, targets.mean_velocity, spec)
-        return make_minimal(rel, alpha, beta_r, beta_i, spec)
+        return make_minimal(rel, alpha, alpha * v, beta_i, spec)
 
     target_dx = float(targets.width_parameter)
     lo = hi = 1.0
-    w_lo, _ = _width_of(rel, lo, targets.mean_velocity, spec)
+    w_lo = _width_of(rel, lo, v, spec)
     for _ in range(200):
         if w_lo <= target_dx:
             break
         lo *= 0.5
-        w_lo, _ = _width_of(rel, lo, targets.mean_velocity, spec)
+        w_lo = _width_of(rel, lo, v, spec)
     else:
-        raise NoConvergence("no lower bracket for the width solve")
-    w_hi, _ = _width_of(rel, hi, targets.mean_velocity, spec)
+        raise NonConvergence("no lower bracket for the width solve")
+    w_hi = _width_of(rel, hi, v, spec)
     for _ in range(200):
         if w_hi >= target_dx:
             break
         hi *= 2.0
-        w_hi, _ = _width_of(rel, hi, targets.mean_velocity, spec)
+        w_hi = _width_of(rel, hi, v, spec)
     else:
-        raise NoConvergence("no upper bracket for the width solve")
+        raise NonConvergence("no upper bracket for the width solve")
 
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        w_mid, beta_r = _width_of(rel, mid, targets.mean_velocity, spec)
+        w_mid = _width_of(rel, mid, v, spec)
         if abs(w_mid - target_dx) <= 1e-8 * target_dx:
-            return make_minimal(rel, mid, beta_r, beta_i, spec)
+            return make_minimal(rel, mid, mid * v, beta_i, spec)
         if w_mid < target_dx:
             lo = mid
         else:
             hi = mid
-    raise NoConvergence("width bisection did not converge")
+    raise NonConvergence("width bisection did not converge")

@@ -29,8 +29,7 @@ from .numerics import (
     _bessel_i_vec,
     _bessel_jy_vec,
     _bessel_k01_vec,
-    _line_window,
-    _adaptive,
+    _line_integral,
     integrate_periodic,
 )
 from .packet import density_decay_rate
@@ -189,11 +188,9 @@ def evolve_quadrature(packet, x, t, spec=DEFAULT_SPEC):
 
     if rel.kind is Kind.LATTICE:
         period = 2.0 * math.pi / rel.lattice_spacing
-        out = integrate_periodic(f, period, spec)
-        return out
+        return integrate_periodic(f, period, spec)
     rate = density_decay_rate(rel, packet.alpha, packet.beta_r, power=1, spec=spec)
-    window = _line_window(rate, spec)
-    val, err = _adaptive(f, -window, window, spec, breakpoints=(0.0,), initial_panels=8)
+    val, err = _line_integral(f, rate, spec)
     return ComplexAmplitude(complex(val), float(np.max(err)))
 
 

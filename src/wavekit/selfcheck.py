@@ -28,7 +28,13 @@ from .boost import (
     boosted_wave_moments,
     lorentz_boost_params,
 )
-from .cosmology import ExponentialScale, PowerLawScale, classical_velocity, comoving_trace
+from .cosmology import (
+    ExponentialScale,
+    PowerLawScale,
+    classical_velocity,
+    comoving_trace,
+    mean_velocity,
+)
 from .dispersion import DispersionRelation
 from .moments import (
     ehrenfest_position,
@@ -315,24 +321,27 @@ def check_cosmology(spec=DEFAULT_SPEC):
     model = PowerLawScale(exponent=1.0, reference=1.0, t_scale=1.0)
     expo = ExponentialScale(hubble=0.3, reference=2.0)
 
-    # Massless constancy, via honest quadrature of sign(p).
+    # Massless constancy: mean_velocity against a quadrature of sign(p).
     pk_ml = make_minimal(_kind_rel("massless"), 1.0, 0.5, 0.0, spec)
+    vals, _ = expectation_many(pk_ml, lambda p: np.sign(p)[:, np.newaxis], spec)
+    v_ml = float(vals[0].real)
     worst_ml = 0.0
     for mdl, t in ((model, 2.0), (expo, 3.0), (model, 7.0)):
-        vals, _ = expectation_many(pk_ml, lambda p: np.sign(p)[:, np.newaxis], spec)
-        worst_ml = max(worst_ml, abs(float(vals[0].real) - 0.5))
+        worst_ml = max(worst_ml, abs(mean_velocity(pk_ml, mdl, t, spec) - v_ml))
 
-    # Non-relativistic red-shift in proportion to the scale factor.
+    # Non-relativistic red-shift: mean_velocity against a quadrature of
+    # the red-shifted velocity p R(0) / (m R(t)).
     pk_nr = make_minimal(_kind_rel("nonrel"), 1.0, 0.5, 0.0, spec)
     worst_nr = 0.0
     for t in (1.0, 3.0):
-        rt = float(model.scale(t))
+        shift = float(model.scale(0.0)) / float(model.scale(t))
 
         def w(p):
-            return (p * (1.0 / rt) / pk_nr.rel.mass)[:, np.newaxis]
+            return (p * shift / pk_nr.rel.mass)[:, np.newaxis]
 
         vals, _ = expectation_many(pk_nr, w, spec)
-        worst_nr = max(worst_nr, abs(float(vals[0].real) * rt - 0.5))
+        v_nr = mean_velocity(pk_nr, model, t, spec)
+        worst_nr = max(worst_nr, abs(v_nr - float(vals[0].real)))
 
     # Classical conserved-momentum identity v gamma R = const.
     worst_cl = 0.0

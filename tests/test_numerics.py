@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import special
 
 from wavekit import numerics
-from wavekit.errors import InvalidInput, NonConvergence, OverflowSignal
+from wavekit.errors import DomainError, InvalidInput, NonConvergence, OverflowSignal
 from wavekit.numerics import (
     QuadratureSpec,
     bessel_i_integer,
@@ -74,6 +74,23 @@ class TestIntegrateLine:
         )
         with pytest.raises(NonConvergence):
             integrate_line(lambda p: np.exp(-np.abs(p)) * np.cos(40.0 * p), 1.0, spec)
+
+
+class TestIntegrandEvaluation:
+    def test_integrand_error_propagates(self):
+        calls = []
+
+        def f(p):
+            calls.append(len(p))
+            raise DomainError("momentum outside the domain")
+
+        with pytest.raises(DomainError):
+            numerics._adaptive(f, -1.0, 1.0, numerics.DEFAULT_SPEC)
+        assert len(calls) == 1
+
+    def test_scalar_integrand_rejected(self):
+        with pytest.raises(InvalidInput):
+            numerics._adaptive(lambda p: 1.0, -1.0, 1.0, numerics.DEFAULT_SPEC)
 
 
 class TestIntegratePeriodic:
@@ -258,10 +275,11 @@ class TestBesselJY:
         # The first positive root of J_0 sits in [2, 3]; cross-check the
         # signs against the (1/pi) int_0^pi cos(x sin t) dt representation.
         def oracle(x):
-            val, _ = numerics._integrate_interval(
+            val, _ = numerics._adaptive(
                 lambda th: np.cos(x * np.sin(th)).astype(complex) / math.pi,
                 0.0,
                 math.pi,
+                numerics.DEFAULT_SPEC,
                 initial_panels=8,
             )
             return float(val.real)

@@ -131,11 +131,30 @@ class TestSolveParameters:
         with pytest.raises(Unsatisfiable):
             solve_parameters(REL, MomentTargets(1.0, 0.0, 1.0))
 
-    def test_width_mode(self):
-        pk = solve_parameters(REL, MomentTargets(0.25, 0.0, 0.8), mode="width")
+    @pytest.mark.parametrize(
+        "rel,v",
+        [
+            pytest.param(NONREL, 0.25, id="nonrel"),
+            pytest.param(REL, 0.25, id="rel"),
+            pytest.param(MASSLESS, 0.25, id="massless"),
+            pytest.param(LATTICE, 0.0, id="lattice"),
+        ],
+    )
+    def test_width_mode(self, rel, v):
+        pk = solve_parameters(rel, MomentTargets(v, 0.0, 0.8), mode="width")
         m = moments_quadrature(pk)
         assert m.width_x == pytest.approx(0.8, rel=1e-7)
-        assert m.mean_v == pytest.approx(0.25, abs=1e-9)
+        assert m.mean_v == pytest.approx(v, abs=1e-9)
+
+    @pytest.mark.parametrize("rel", [NONREL, REL, MASSLESS], ids=["nonrel", "rel", "massless"])
+    def test_alpha_mode_uses_velocity_identity(self, rel):
+        # <v> = beta_r / alpha holds exactly, so beta_r is set, not searched.
+        alpha, v = 1.3, 0.3
+        pk = solve_parameters(rel, MomentTargets(v, 0.0, alpha))
+        assert pk.alpha == alpha
+        assert pk.beta_r == alpha * v
+        m = moments_quadrature(pk)
+        assert m.mean_v == pytest.approx(v, abs=1e-9)
 
     def test_solved_packets_saturate(self):
         pk = solve_parameters(MASSLESS, MomentTargets(0.4, 1.0, 1.5))
