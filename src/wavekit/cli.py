@@ -23,6 +23,7 @@ import numpy as np
 
 from .analysis import evolved_moments
 from .boost import (
+    BoostParams,
     boost_minimal_packet,
     boosted_expectations,
     boosted_wave_moments,
@@ -78,8 +79,11 @@ def _write_output(columns, rows, meta, cfg):
             sort_keys=True,
         ) + "\n"
     if cfg["out"]:
-        with open(cfg["out"], "w") as fh:
-            fh.write(payload)
+        try:
+            with open(cfg["out"], "w") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output: {exc}")
     else:
         sys.stdout.write(payload)
 
@@ -235,8 +239,8 @@ def _cmd_boost(cfg, spec):
     u = cfg.get("boost_u")
     if u is None:
         raise ConfigError("--boost-u is required")
+    gamma = BoostParams.lorentz(u).gamma
     u = float(u)
-    gamma = 1.0 / math.sqrt(1.0 - u * u)
     m0 = moments_quadrature(packet, spec)
     alpha_b, beta_b = lorentz_boost_params(packet.alpha, packet.beta_r, u)
     wave = boost_minimal_packet(packet, u, spec)
@@ -282,9 +286,11 @@ def _model_from(cfg):
         if not path:
             raise ConfigError("--model tabulated requires --model-file")
         try:
-            data = np.loadtxt(path, delimiter=",", skiprows=1)
-        except OSError as exc:
+            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read model file: {exc}")
+        if data.shape[1] < 2:
+            raise ConfigError("model file needs two columns: t, R(t)")
         return TabulatedScale(tuple(data[:, 0]), tuple(data[:, 1]))
     raise ConfigError("--model must be powerlaw, exp, or tabulated")
 
@@ -318,6 +324,8 @@ def _cmd_figures(cfg, spec):
     if len(indices) > 1 and out:
         raise ConfigError("--out applies to a single figure; use --out-dir for all")
     out_dir = cfg.get("out_dir", ".")
+    if not os.path.isdir(out_dir):
+        raise ConfigError(f"--out-dir {out_dir} is not a directory")
     for idx in indices:
         grids = figure_grid(idx, spec)
         columns = ("beta", "t", "x", "density") if len(grids) > 1 else ("t", "x", "density")

@@ -3,7 +3,10 @@
 The metric (ds)^2 = (dt)^2 - R(t)^2 (d rho)^2 conserves the comoving
 momentum p_rho; physical momentum p = p_rho / R(t) is red-shifted as the
 universe grows. Packets are specified in physical momentum at t = 0 and
-carried forward through the conserved p_rho = p R(0).
+carried forward through the conserved p_rho = p R(0). A comoving trace is
+therefore one momentum quadrature over the t = 0 packet: its weights carry
+the per-momentum time integral W(t, p) for every output time, taken in one
+cumulative pass over the sorted times.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ import numpy as np
 
 from .dispersion import Kind
 from .errors import InvalidInput, KindMismatch, NonConvergence
-from .moments import moments_quadrature
 from .numerics import DEFAULT_SPEC
 from .packet import expectation_many
 
@@ -31,7 +33,7 @@ __all__ = [
     "comoving_trace",
 ]
 
-_TIME_TOL = 1e-9  # sup-norm tolerance of the nested time integrals
+_TIME_TOL = 1e-9  # sup-norm tolerance of the cumulative time integral
 
 
 @dataclass(frozen=True)
@@ -43,8 +45,9 @@ class PowerLawScale:
     t_scale: float = 1.0
 
     def __post_init__(self):
-        if self.exponent < 0.0 or self.reference <= 0.0 or self.t_scale <= 0.0:
-            raise InvalidInput("power-law scale needs exponent >= 0, R0 > 0, t_scale > 0")
+        if not (0.0 <= self.exponent < math.inf and 0.0 < self.reference < math.inf
+                and 0.0 < self.t_scale < math.inf):
+            raise InvalidInput("power-law scale needs finite exponent >= 0, R0 > 0, t_scale > 0")
 
     def scale(self, t):
         t = np.asarray(t, dtype=float)
@@ -61,8 +64,8 @@ class ExponentialScale:
     reference: float = 1.0
 
     def __post_init__(self):
-        if self.reference <= 0.0:
-            raise InvalidInput("exponential scale needs R0 > 0")
+        if not (0.0 < self.reference < math.inf and math.isfinite(self.hubble)):
+            raise InvalidInput("exponential scale needs finite H and R0 > 0")
 
     def scale(self, t):
         return self.reference * np.exp(self.hubble * np.asarray(t, dtype=float))
@@ -80,10 +83,10 @@ class TabulatedScale:
         r = np.asarray(self.values, dtype=float)
         if t.ndim != 1 or t.shape != r.shape or len(t) < 2:
             raise InvalidInput("tabulated scale needs matching 1-D arrays, length >= 2")
-        if np.any(np.diff(t) <= 0.0):
-            raise InvalidInput("tabulated times must be strictly increasing")
-        if np.any(r <= 0.0):
-            raise InvalidInput("tabulated scale factors must be positive")
+        if not (np.all(np.isfinite(t)) and np.all(np.diff(t) > 0.0)):
+            raise InvalidInput("tabulated times must be finite and strictly increasing")
+        if not np.all((r > 0.0) & np.isfinite(r)):
+            raise InvalidInput("tabulated scale factors must be finite and positive")
 
     def scale(self, t):
         t_arr = np.asarray(t, dtype=float)
@@ -116,22 +119,6 @@ def classical_velocity(v0, r_start, r_now):
     return ratio * v0 / math.sqrt(1.0 - v0 * v0 + v0 * v0 * ratio * ratio)
 
 
-def _redshift_velocity(rel, r0_over_rt):
-    """v(p R0/R(t)) as a function of the t=0 physical momentum array."""
-    m = rel.mass
-    if rel.kind is Kind.RELATIVISTIC:
-        def v(p):
-            q = p * r0_over_rt
-            return q / np.sqrt(q * q + m * m)
-    elif rel.kind is Kind.MASSLESS:
-        def v(p):
-            return np.sign(p)
-    else:  # non-relativistic limit
-        def v(p):
-            return p * r0_over_rt / m
-    return v
-
-
 def _check_kind(packet):
     if packet.rel.kind is Kind.LATTICE:
         raise KindMismatch("FRW propagation covers the continuum dispersions only")
@@ -142,41 +129,51 @@ def mean_velocity(packet, model, t, spec=DEFAULT_SPEC):
 
     Massless packets keep <v> = beta/alpha for all times; non-relativistic
     ones are red-shifted in proportion to the scale factor. The
-    relativistic case is a quadrature.
+    relativistic case is a quadrature of v(p R(0)/R(t)).
     """
     _check_kind(packet)
+    if not math.isfinite(t):
+        raise InvalidInput("t must be finite")
     kind = packet.rel.kind
-    r0 = float(model.scale(0.0))
-    rt = float(model.scale(t))
+    ratio = float(model.scale(0.0)) / float(model.scale(t))
     if kind is Kind.MASSLESS:
         return packet.beta_r / packet.alpha
     if kind is Kind.NON_RELATIVISTIC:
-        return (r0 / rt) * packet.beta_r / packet.alpha
-    v = _redshift_velocity(packet.rel, r0 / rt)
-    vals, _ = expectation_many(packet, lambda p: v(p)[:, np.newaxis], spec)
+        return ratio * packet.beta_r / packet.alpha
+    vals, _ = expectation_many(
+        packet, lambda p: packet.rel.velocity(p * ratio)[:, np.newaxis], spec
+    )
     return float(vals[0].real)
 
 
-def _time_integral_grid(func, t_end, tol=_TIME_TOL):
-    """Composite-Simpson time integral of a p-vectorized integrand,
-    doubled until the sup-norm increment falls below tolerance."""
-    if t_end == 0.0:
-        return None  # caller substitutes zeros of the right shape
+def _time_integral_grid(func, t_values, tol=_TIME_TOL):
+    """Cumulative time integrals int_0^t func dt' at each sorted t in t_values.
+
+    ``func`` maps an array of times (N,) to values (N, k). Every interval
+    between consecutive output times (the first starts at 0) gets n
+    composite-Simpson panels, all nodes are evaluated in one call, and the
+    per-interval sums are accumulated; n doubles until the sup-norm
+    increment falls below tolerance. Returns shape (len(t_values), k).
+    """
+    edges = np.concatenate(([0.0], t_values))
+    widths = np.diff(edges)
     n = 16
     prev = None
     while n <= (1 << 18):
-        ts = np.linspace(0.0, t_end, n + 1)
-        vals = np.stack([func(tp) for tp in ts])
-        simp = (
-            (t_end / n)
-            / 3.0
-            * (vals[0] + vals[-1] + 4.0 * vals[1:-1:2].sum(axis=0) + 2.0 * vals[2:-2:2].sum(axis=0))
-        )
+        nodes = edges[:-1, np.newaxis] + widths[:, np.newaxis] * np.linspace(0.0, 1.0, n + 1)
+        vals = func(nodes.ravel()).reshape(nodes.shape + (-1,))
+        simpson = np.ones(n + 1)
+        simpson[1:-1:2] = 4.0
+        simpson[2:-1:2] = 2.0
+        panels = np.einsum("j,ijk->ik", simpson, vals) * (widths / (3.0 * n))[:, np.newaxis]
+        cum = np.cumsum(panels, axis=0)
+        if not np.all(np.isfinite(cum)):
+            raise NonConvergence("time integrand is not finite")
         if prev is not None:
-            scale = max(1.0, float(np.max(np.abs(simp))))
-            if float(np.max(np.abs(simp - prev))) <= tol * scale:
-                return simp
-        prev = simp
+            scale = max(1.0, float(np.max(np.abs(cum))))
+            if float(np.max(np.abs(cum - prev))) <= tol * scale:
+                return cum
+        prev = cum
         n *= 2
     raise NonConvergence("time integration did not converge")
 
@@ -184,59 +181,49 @@ def _time_integral_grid(func, t_end, tol=_TIME_TOL):
 def comoving_trace(packet, model, t_values, spec=DEFAULT_SPEC):
     """Comoving moments <rho>(t), <rho^2>(t) and derived physical traces.
 
-    <rho>(t) = <rho>(0) + int_0^t <v(t')>/R(t') dt'; the second moment adds
-    the symmetrized cross term and the squared per-momentum time integral
-    W(t, p) = int_0^t v(t', p)/R(t') dt', which is a single p-quadrature
-    because p_rho is conserved.
+    Because p_rho = p R(t) is conserved, every moment at every output time
+    is an integral over the t = 0 momentum: <rho>(t) = <x>(0)/R(0) + <W>,
+    <rho^2>(t) = <x^2>(0)/R(0)^2 + (2/R(0)) Re<W x> + <W^2>, with the
+    per-momentum weight W(t, p) = int_0^t v(p R(0)/R(t'))/R(t') dt'. All of
+    them, for all output times, come from one p-quadrature whose weights
+    take W at every t from one cumulative time integral.
     """
     _check_kind(packet)
     t_values = np.asarray(t_values, dtype=float)
     if t_values.ndim != 1 or len(t_values) == 0:
         raise InvalidInput("t_values must be a non-empty 1-D array")
+    if not np.all(np.isfinite(t_values)):
+        raise InvalidInput("t_values must be finite")
     if np.any(t_values < 0.0) or np.any(np.diff(t_values) < 0.0):
         raise InvalidInput("t_values must be sorted ascending from 0")
 
     rel = packet.rel
-    r0 = float(model.scale(0.0))
-    m0 = moments_quadrature(packet, spec)
-    rho0 = m0.mean_x / r0
-    rho2_0 = m0.mean_x2 / (r0 * r0)
     alpha, beta_r, beta_i = packet.alpha, packet.beta_r, packet.beta_i
+    r0 = float(model.scale(0.0))
+    rt = model.scale(t_values)
+    k = len(t_values)
 
-    mean_rho = np.empty(len(t_values))
-    mean_rho2 = np.empty(len(t_values))
-    mean_x = np.empty(len(t_values))
-    mean_v_arr = np.empty(len(t_values))
+    def drift(p, tp):
+        r = model.scale(tp)[:, np.newaxis]
+        return rel.velocity(p * (r0 / r)) / r
 
-    for i, t in enumerate(t_values):
-        rt = float(model.scale(t))
+    def weights(p):
+        d = beta_r - alpha * rel.velocity(p)
+        x_w = -beta_i + 1j * d  # Phi* i Phi' / |Phi|^2
+        x2_w = d * d + beta_i * beta_i  # |Phi'|^2 / |Phi|^2
+        w = _time_integral_grid(lambda tp: drift(p, tp), t_values).T
+        v_now = rel.velocity(p[:, np.newaxis] * (r0 / rt))
+        return np.column_stack([x_w, x2_w, w, w * w, w * x_w[:, np.newaxis], v_now])
 
-        def weights(p):
-            def integrand(tp):
-                v = _redshift_velocity(rel, r0 / float(model.scale(tp)))
-                return v(p) / float(model.scale(tp))
-
-            w = _time_integral_grid(integrand, float(t))
-            if w is None:
-                w = np.zeros_like(p)
-            v_now = _redshift_velocity(rel, r0 / rt)(p)
-            d = beta_r - alpha * rel.velocity(p)
-            x_w = -beta_i + 1j * d
-            return np.stack([w, w * w, w * x_w, v_now], axis=1).astype(complex)
-
-        vals, _ = expectation_many(packet, weights, spec)
-        w_mean = float(vals[0].real)
-        w_sq = float(vals[1].real)
-        cross = (2.0 / r0) * float(vals[2].real)
-        mean_rho[i] = rho0 + w_mean
-        mean_rho2[i] = rho2_0 + cross + w_sq
-        mean_x[i] = rt * mean_rho[i]
-        mean_v_arr[i] = float(vals[3].real)
-
+    vals, _ = expectation_many(packet, weights, spec)
+    vals = vals.real
+    w_mean, w_sq, w_x, mean_v = vals[2:].reshape(4, k)
+    mean_rho = vals[0] / r0 + w_mean
+    mean_rho2 = vals[1] / (r0 * r0) + (2.0 / r0) * w_x + w_sq
     return ComovingTrace(
         t_values=t_values,
         mean_rho=mean_rho,
         mean_rho2=mean_rho2,
-        mean_x=mean_x,
-        mean_v=mean_v_arr,
+        mean_x=rt * mean_rho,
+        mean_v=mean_v,
     )

@@ -110,12 +110,18 @@ def _greens_relativistic_real(mass, x, t):
     return out
 
 
+def _require_finite(x, t):
+    if not (np.all(np.isfinite(x)) and np.isfinite(t)):
+        raise InvalidInput("x and t must be finite")
+
+
 def greens_closed(rel, x, t, spec=DEFAULT_SPEC):
     """Closed-form Green's function G(x, t) for any dispersion kind.
 
     ``x`` may be an ndarray; ``t`` is a scalar (real or complex). Complex
     ``t`` must satisfy Im t < 0 for the relativistic continuation.
     """
+    _require_finite(x, t)
     scalar = np.ndim(x) == 0
     m = rel.mass
 
@@ -181,6 +187,7 @@ def evolve_quadrature(packet, x, t, spec=DEFAULT_SPEC):
     rel = packet.rel
     x = float(x)
     t = float(t)
+    _require_finite(x, t)
 
     def f(p):
         e = rel.energy(p)

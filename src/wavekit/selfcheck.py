@@ -317,7 +317,8 @@ def check_figures(spec=DEFAULT_SPEC):
 
 
 def check_cosmology(spec=DEFAULT_SPEC):
-    """Criterion 8: red-shift laws, conservation identity, static reduction."""
+    """Criterion 8: red-shift laws, comoving traces against exact drifts,
+    conservation identity, static reduction."""
     model = PowerLawScale(exponent=1.0, reference=1.0, t_scale=1.0)
     expo = ExponentialScale(hubble=0.3, reference=2.0)
 
@@ -329,8 +330,25 @@ def check_cosmology(spec=DEFAULT_SPEC):
     for mdl, t in ((model, 2.0), (expo, 3.0), (model, 7.0)):
         worst_ml = max(worst_ml, abs(mean_velocity(pk_ml, mdl, t, spec) - v_ml))
 
+    def trace_residual(pk, ts, drift):
+        """Worst gap of a power-law trace's mean_v column to mean_velocity
+        and of its <rho> drift to the closed form (beta_r/alpha) drift(t)."""
+        trace = comoving_trace(pk, model, ts, spec)
+        worst = 0.0
+        for i, t in enumerate(ts):
+            worst = max(
+                worst,
+                abs(trace.mean_v[i] - mean_velocity(pk, model, t, spec)),
+                abs(trace.mean_rho[i] - trace.mean_rho[0] - pk.beta_r / pk.alpha * drift(t)),
+            )
+        return worst
+
+    # int_0^t R(0) dt'/R(t') = log(1 + t) for R = 1 + t.
+    worst_ml = max(worst_ml, trace_residual(pk_ml, np.array([0.0, 2.0, 7.0]), math.log1p))
+
     # Non-relativistic red-shift: mean_velocity against a quadrature of
-    # the red-shifted velocity p R(0) / (m R(t)).
+    # the red-shifted velocity p R(0) / (m R(t)); the trace drift is
+    # int_0^t R(0) dt'/R(t')^2 = t / (1 + t).
     pk_nr = make_minimal(_kind_rel("nonrel"), 1.0, 0.5, 0.0, spec)
     worst_nr = 0.0
     for t in (1.0, 3.0):
@@ -342,6 +360,8 @@ def check_cosmology(spec=DEFAULT_SPEC):
         vals, _ = expectation_many(pk_nr, w, spec)
         v_nr = mean_velocity(pk_nr, model, t, spec)
         worst_nr = max(worst_nr, abs(v_nr - float(vals[0].real)))
+    ts = np.array([0.0, 1.0, 3.0])
+    worst_nr = max(worst_nr, trace_residual(pk_nr, ts, lambda t: t / (1.0 + t)))
 
     # Classical conserved-momentum identity v gamma R = const.
     worst_cl = 0.0
@@ -363,9 +383,28 @@ def check_cosmology(spec=DEFAULT_SPEC):
         var = 4.0 * (trace.mean_rho2[i] - trace.mean_rho[i] ** 2)
         worst_static = max(worst_static, abs(var - spreading_width_sq(m0, t)))
 
+    # Relativistic red-shift on R = 1 + t, where the time integral is exact:
+    # W(t, p) = asinh(p/m) - asinh(p/(m (1 + t))).
+    ts = np.array([0.0, 1.0, 2.0, 5.0])
+    trace = comoving_trace(pk_rel, model, ts, spec)
+    mass = pk_rel.rel.mass
+
+    def exact(p):
+        x_w = -pk_rel.beta_i + 1j * (pk_rel.beta_r - pk_rel.alpha * pk_rel.rel.velocity(p))
+        w = np.arcsinh(p / mass)[:, np.newaxis] - np.arcsinh(np.outer(p, 1.0 / (mass * (1.0 + ts))))
+        return np.column_stack([w, w * w, w * x_w[:, np.newaxis]])
+
+    vals, _ = expectation_many(pk_rel, exact, spec)
+    w_mean, w_sq, w_x = vals.real.reshape(3, len(ts))
+    worst_rr = float(max(
+        np.max(np.abs(trace.mean_rho - (m0.mean_x + w_mean))),
+        np.max(np.abs(trace.mean_rho2 - (m0.mean_x2 + 2.0 * w_x + w_sq))),
+    ))
+
     checks = [
         ("massless", worst_ml, 1e-10),
         ("nonrel-redshift", worst_nr, 1e-6),
+        ("rel-redshift", worst_rr, 1e-8),
         ("classical", worst_cl, 1e-12),
         ("static", worst_static, 1e-6),
     ]

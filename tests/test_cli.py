@@ -284,3 +284,35 @@ def test_tolerance_env_and_flag(tmp_path):
     )
     assert cp.returncode == 0
     assert json.loads(out.read_text())["meta"]["tolerance"] == 1e-9
+
+
+def _assert_config_error(cp):
+    assert cp.returncode == 2
+    assert cp.stderr.startswith("error: ")
+    assert len(cp.stderr.splitlines()) == 1
+    assert "Traceback" not in cp.stderr
+
+
+@pytest.mark.parametrize("u", ["1.5", "1"])
+def test_boost_speed_out_of_range(u):
+    _assert_config_error(
+        run_cli("boost", "--dispersion", "rel", "--mass", "1", "--alpha", "1", "--boost-u", u)
+    )
+
+
+def test_missing_output_directory(tmp_path):
+    missing = tmp_path / "missing"
+    _assert_config_error(run_cli("figures", "--out-dir", str(missing)))
+    _assert_config_error(run_cli(*MOMENT_ARGS, "--out", str(missing / "m.csv")))
+
+
+@pytest.mark.parametrize("body", ["t,R\n0,1\n", "t,R\n0,1\n1,two\n"])
+def test_malformed_model_file(tmp_path, body):
+    path = tmp_path / "model.csv"
+    path.write_text(body)
+    _assert_config_error(
+        run_cli(
+            "cosmo", "--dispersion", "rel", "--alpha", "1",
+            "--model", "tabulated", "--model-file", str(path),
+        )
+    )

@@ -17,7 +17,7 @@ from wavekit.cosmology import (
 from wavekit.dispersion import DispersionRelation
 from wavekit.errors import InvalidInput, KindMismatch
 from wavekit.moments import moments_quadrature, spreading_width_sq
-from wavekit.packet import make_minimal
+from wavekit.packet import expectation_many, make_minimal
 
 NONREL = DispersionRelation.non_relativistic(3.0)
 LATTICE = DispersionRelation.lattice(3.0, 1.0)
@@ -81,6 +81,15 @@ class TestScaleModels:
             TabulatedScale((0.0, 1.0), (1.0, -2.0))
         with pytest.raises(InvalidInput):
             TabulatedScale((1.0, 0.0), (1.0, 2.0))
+        for bad in (math.nan, math.inf):
+            with pytest.raises(InvalidInput):
+                PowerLawScale(exponent=bad)
+            with pytest.raises(InvalidInput):
+                ExponentialScale(hubble=bad)
+            with pytest.raises(InvalidInput):
+                TabulatedScale((0.0, bad), (1.0, 2.0))
+            with pytest.raises(InvalidInput):
+                TabulatedScale((0.0, 1.0), (1.0, bad))
 
 
 class TestMeanVelocity:
@@ -120,6 +129,34 @@ class TestMeanVelocity:
         with pytest.raises(KindMismatch):
             mean_velocity(pk, EXPANDING, 1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_time_rejected(self, bad, monkeypatch):
+        monkeypatch.setattr("wavekit.cosmology.expectation_many", _no_quadrature)
+        pk = make_minimal(REL, 1.0, 0.5, 0.0)
+        with pytest.raises(InvalidInput):
+            mean_velocity(pk, EXPANDING, bad)
+
+
+def _no_quadrature(*args, **kwargs):
+    raise AssertionError("quadrature ran on invalid input")
+
+
+def _exact_rel_moments(pk, ts):
+    """<rho>, <rho^2> on R = 1 + t from the exact per-momentum weight
+    W(t, p) = asinh(p/m) - asinh(p/(m (1 + t)))."""
+    m, alpha, beta_r, beta_i = pk.rel.mass, pk.alpha, pk.beta_r, pk.beta_i
+
+    def weights(p):
+        d = beta_r - alpha * pk.rel.velocity(p)
+        x_w = -beta_i + 1j * d
+        w = np.arcsinh(p / m)[:, np.newaxis] - np.arcsinh(np.outer(p, 1.0 / (m * (1.0 + ts))))
+        return np.column_stack([x_w, d * d + beta_i**2, w, w * w, w * x_w[:, np.newaxis]])
+
+    vals, _ = expectation_many(pk, weights)
+    x0, x2_0 = vals.real[:2]
+    w_mean, w_sq, w_x = vals.real[2:].reshape(3, len(ts))
+    return x0 + w_mean, x2_0 + 2.0 * w_x + w_sq
+
 
 class TestComovingTrace:
     def test_static_reduces_to_flat_spreading(self):
@@ -154,9 +191,58 @@ class TestComovingTrace:
         trace = comoving_trace(pk, EXPANDING, ts)
         assert trace.mean_v[1] == pytest.approx(mean_velocity(pk, EXPANDING, 1.0), abs=1e-10)
 
+    def test_rel_matches_exact_time_integral(self):
+        pk = make_minimal(REL, 1.0, 0.5, -0.7)
+        ts = np.arange(1.0, 6.0)
+        trace = comoving_trace(pk, EXPANDING, ts)
+        rho, rho2 = _exact_rel_moments(pk, ts)
+        assert np.max(np.abs(trace.mean_rho - rho)) <= 1e-9
+        assert np.max(np.abs(trace.mean_rho2 - rho2)) <= 1e-9
+
+    def test_nonrel_drift(self):
+        # <v(t)> = (beta/alpha) R(0)/R(t), so the drift is
+        # (beta/alpha) int_0^t dt'/(1 + t')^2 = (beta/alpha) t/(1 + t).
+        pk = make_minimal(NONREL, 1.0, 0.5, 0.0)
+        ts = np.array([0.0, 0.5, 2.0, 6.0])
+        trace = comoving_trace(pk, EXPANDING, ts)
+        drift = trace.mean_rho - trace.mean_rho[0]
+        assert np.max(np.abs(drift - 0.5 * ts / (1.0 + ts))) <= 1e-9
+
+    def test_repeated_and_offset_grids_agree(self):
+        pk = make_minimal(REL, 1.0, 0.5, 0.3)
+        full = comoving_trace(pk, EXPANDING, np.array([0.0, 1.0, 1.0, 2.5]))
+        plain = comoving_trace(pk, EXPANDING, np.array([0.0, 1.0, 2.5]))
+        single = comoving_trace(pk, EXPANDING, np.array([2.5]))
+        for name in ("mean_rho", "mean_rho2", "mean_x", "mean_v"):
+            a, b, c = getattr(full, name), getattr(plain, name), getattr(single, name)
+            assert a[1] == a[2]
+            assert np.max(np.abs(a[[0, 1, 3]] - b)) <= 1e-9
+            assert abs(b[2] - c[0]) <= 1e-9
+
+    def test_one_momentum_quadrature(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return expectation_many(*args, **kwargs)
+
+        monkeypatch.setattr("wavekit.cosmology.expectation_many", counting)
+        pk = make_minimal(REL, 1.0, 0.5, 0.0)
+        comoving_trace(pk, EXPANDING, np.linspace(0.0, 5.0, 6))
+        assert len(calls) == 1
+
     def test_input_validation(self):
         pk = make_minimal(REL, 1.0, 0.0, 0.0)
         with pytest.raises(InvalidInput):
             comoving_trace(pk, EXPANDING, np.array([1.0, 0.5]))
         with pytest.raises(KindMismatch):
             comoving_trace(make_minimal(LATTICE, 1.0, 0.0, 0.0), EXPANDING, np.array([0.0]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_times_rejected(self, bad, monkeypatch):
+        monkeypatch.setattr("wavekit.cosmology.expectation_many", _no_quadrature)
+        pk = make_minimal(REL, 1.0, 0.5, 0.0)
+        with pytest.raises(InvalidInput):
+            comoving_trace(pk, EXPANDING, np.array([0.0, bad]))
+        with pytest.raises(InvalidInput):
+            comoving_trace(pk, EXPANDING, np.array([bad, 1.0]))

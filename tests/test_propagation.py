@@ -91,6 +91,23 @@ def test_initial_state_fourier_oracle(rel, beta):
         assert abs(closed[j] - oracle.value) <= 1e-8
 
 
+@pytest.mark.parametrize(
+    "rel,beta",
+    [(NONREL, 0.5), (LATTICE, 0.0), (REL, 0.5), (MASSLESS, 0.5)],
+)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_x_t_rejected(rel, beta, bad):
+    # Rejected before any Bessel call or quadrature: a rel NaN used to spin
+    # through every adaptive subdivision, and t = inf returned NaN.
+    pk = make_minimal(rel, 1.0, beta, 0.0)
+    for fn, first in ((greens_closed, rel), (evolve_closed, pk), (evolve_quadrature, pk)):
+        for x, t in ((bad, 1.0), (1.0, bad)):
+            with pytest.raises(InvalidInput):
+                fn(first, x, t)
+    with pytest.raises(InvalidInput):
+        evolve_closed(pk, np.array([0.0, bad]), 1.0)
+
+
 def test_evolved_gaussian_width():
     pk = make_minimal(NONREL, 1.0, 0.0, 0.0)
     m0 = moments_quadrature(pk)
