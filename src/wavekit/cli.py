@@ -18,6 +18,7 @@ import json
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -286,9 +287,14 @@ def _model_from(cfg):
         if not path:
             raise ConfigError("--model tabulated requires --model-file")
         try:
-            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+            with warnings.catch_warnings():
+                # A file without data rows is reported below, not as a warning.
+                warnings.simplefilter("ignore", UserWarning)
+                data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read model file: {exc}")
+        if data.size == 0:
+            raise ConfigError("model file has no data rows")
         if data.shape[1] < 2:
             raise ConfigError("model file needs two columns: t, R(t)")
         return TabulatedScale(tuple(data[:, 0]), tuple(data[:, 1]))

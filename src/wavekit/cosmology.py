@@ -202,6 +202,14 @@ def comoving_trace(packet, model, t_values, spec=DEFAULT_SPEC):
     r0 = float(model.scale(0.0))
     rt = model.scale(t_values)
     k = len(t_values)
+    # A table's R is only piecewise smooth, so its knots inside the traced
+    # range become extra interval edges of the time integral (Simpson then
+    # converges at its full order); only the requested rows are kept.
+    grid, rows = t_values, slice(None)
+    if isinstance(model, TabulatedScale):
+        knots = np.asarray(model.times, dtype=float)
+        grid = np.union1d(t_values, knots[(knots > 0.0) & (knots < t_values[-1])])
+        rows = np.searchsorted(grid, t_values)
 
     def drift(p, tp):
         r = model.scale(tp)[:, np.newaxis]
@@ -211,7 +219,7 @@ def comoving_trace(packet, model, t_values, spec=DEFAULT_SPEC):
         d = beta_r - alpha * rel.velocity(p)
         x_w = -beta_i + 1j * d  # Phi* i Phi' / |Phi|^2
         x2_w = d * d + beta_i * beta_i  # |Phi'|^2 / |Phi|^2
-        w = _time_integral_grid(lambda tp: drift(p, tp), t_values).T
+        w = _time_integral_grid(lambda tp: drift(p, tp), grid)[rows].T
         v_now = rel.velocity(p[:, np.newaxis] * (r0 / rt))
         return np.column_stack([x_w, x2_w, w, w * w, w * x_w[:, np.newaxis], v_now])
 

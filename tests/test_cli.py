@@ -316,3 +316,22 @@ def test_malformed_model_file(tmp_path, body):
             "--model", "tabulated", "--model-file", str(path),
         )
     )
+
+
+def test_header_only_model_file(tmp_path):
+    path = tmp_path / "model.csv"
+    path.write_text("t,R\n")
+    cp = run_cli(
+        "cosmo", "--dispersion", "rel", "--alpha", "1",
+        "--model", "tabulated", "--model-file", str(path),
+    )
+    assert cp.returncode == 2
+    assert cp.stderr == "error: model file has no data rows\n"
+
+
+def test_python_m_wavekit_selfcheck():
+    cp = subprocess.run(
+        [sys.executable, "-m", "wavekit", "selfcheck"], capture_output=True, text=True
+    )
+    assert cp.returncode == 0, cp.stderr
+    assert cp.stdout.rstrip().endswith("selfcheck: all checks passed")

@@ -219,6 +219,17 @@ class TestComovingTrace:
             assert np.max(np.abs(a[[0, 1, 3]] - b)) <= 1e-9
             assert abs(b[2] - c[0]) <= 1e-9
 
+    def test_tabulated_knots_split_the_time_integral(self):
+        times = (0.0, 0.7, 1.3, 2.2, 3.1, 4.4, 5.0)
+        model = TabulatedScale(times, tuple(1.0 + t**1.3 for t in times))
+        pk = make_minimal(REL, 1.0, 0.5, 0.3)
+        coarse = comoving_trace(pk, model, np.array([0.0, 1.0, 1.0, 5.0]))
+        aligned = comoving_trace(pk, model, np.array(sorted(times + (1.0,))))
+        assert np.array_equal(coarse.t_values, [0.0, 1.0, 1.0, 5.0])
+        for name in ("mean_rho", "mean_rho2", "mean_x", "mean_v"):
+            a, b = getattr(coarse, name), getattr(aligned, name)
+            assert np.max(np.abs(a - b[[0, 2, 2, 7]])) <= 1e-9
+
     def test_one_momentum_quadrature(self, monkeypatch):
         calls = []
 

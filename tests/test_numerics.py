@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import special
 
 from wavekit import numerics
+from wavekit.dispersion import DispersionRelation
 from wavekit.errors import DomainError, InvalidInput, NonConvergence, OverflowSignal
 from wavekit.numerics import (
     QuadratureSpec,
@@ -18,6 +19,7 @@ from wavekit.numerics import (
     integrate_line,
     integrate_periodic,
 )
+from wavekit.packet import expectation_many, make_minimal
 
 # Frozen oracle values (high-precision evaluation of the integral
 # representations / series used as cross-checks below).
@@ -74,6 +76,82 @@ class TestIntegrateLine:
         )
         with pytest.raises(NonConvergence):
             integrate_line(lambda p: np.exp(-np.abs(p)) * np.cos(40.0 * p), 1.0, spec)
+
+
+class TestGaussKronrodRule:
+    @pytest.mark.parametrize(
+        "f, breakpoints, exact",
+        [
+            (lambda p: np.exp(-p * p), (), math.sqrt(math.pi)),
+            (lambda p: np.abs(p) * np.exp(-np.abs(p)), (0.0,), 2.0),
+            (lambda p: np.exp(-np.abs(p)) * np.cos(40.0 * p), (), 2.0 / 1601.0),
+        ],
+    )
+    def test_closed_forms(self, f, breakpoints, exact):
+        out = integrate_line(f, 1.0, breakpoints=breakpoints)
+        assert abs(out.value - exact) <= 1e-10 * abs(exact)
+
+    @pytest.mark.parametrize("width", [1, 3, 4000])
+    def test_points_per_call_capped(self, width):
+        sizes = []
+
+        def f(p):
+            sizes.append(len(p))
+            col = np.exp(-np.abs(p)) * np.cos(40.0 * p)
+            return np.repeat(col[:, np.newaxis], width, axis=1)
+
+        value, _ = numerics._line_integral(f, 1.0, numerics.DEFAULT_SPEC)
+        assert sizes[0] == 21
+        assert max(sizes) <= (42 if 42 * width <= 1 << 16 else 21)
+        assert len(sizes) > 10
+        assert np.all(value == value[0])
+
+    def test_subdivision_budget(self):
+        points = []
+
+        def f(p):
+            points.append(len(p))
+            return np.exp(-np.abs(p)) * np.cos(40.0 * p)
+
+        spec = QuadratureSpec(
+            relative_tolerance=1e-12, absolute_floor=1e-16, max_subdivisions=8
+        )
+        with pytest.raises(NonConvergence, match=r"exhausted 8 subdivisions; worst panel \[.*, .*\] at err/tol"):
+            integrate_line(f, 1.0, spec)
+        # 8 initial panels, then at most 8 splits of two children each.
+        assert sum(points) <= (8 + 16) * 21
+
+    def test_stalled_panel_named(self):
+        def f(p):
+            # Integrable singularity off every dyadic edge; the offset keeps
+            # a node that lands on it finite.
+            return 1.0 / np.sqrt(np.abs(p - 1.0 / 3.0) + 1e-30)
+
+        with pytest.raises(NonConvergence, match=r"stalled; worst panel \[0\.333.*\] at err/tol") as info:
+            numerics._adaptive(f, -1.0, 1.0, numerics.DEFAULT_SPEC)
+        assert info.value.value is not None and info.value.abs_error is not None
+
+    def test_non_finite_value_fails_at_once(self):
+        points = []
+
+        def f(p):
+            points.append(len(p))
+            return np.where(np.abs(p - 0.3) < 0.01, np.nan, 1.0)
+
+        with pytest.raises(NonConvergence, match=r"non-finite integrand value; worst panel \[0\.25, 0\.5\]"):
+            numerics._adaptive(f, -1.0, 1.0, numerics.DEFAULT_SPEC, initial_panels=8)
+        assert sum(points) == 8 * 21
+
+    @pytest.mark.parametrize("width", [4, 4000])
+    def test_identical_columns_bit_identical(self, width):
+        pk = make_minimal(DispersionRelation.relativistic(1.0), 1.0, 0.5, 0.3)
+
+        def weights(p):
+            cols = [p, p * p] + [np.cos(p)] * (width - 2)
+            return np.column_stack(cols).astype(complex) * (1.0 + 0.5j)
+
+        vals, errs = expectation_many(pk, weights)
+        assert np.all(vals[2:] == vals[2]) and np.all(errs[2:] == errs[2])
 
 
 class TestIntegrandEvaluation:
