@@ -18,7 +18,7 @@ from typing import Union
 import numpy as np
 
 from .dispersion import Kind
-from .errors import InvalidInput, KindMismatch, NonConvergence
+from .errors import InvalidInput, KindMismatch, NonConvergence, OverflowSignal
 from .numerics import DEFAULT_SPEC
 from .packet import expectation_many
 
@@ -119,6 +119,17 @@ def classical_velocity(v0, r_start, r_now):
     return ratio * v0 / math.sqrt(1.0 - v0 * v0 + v0 * v0 * ratio * ratio)
 
 
+def _scale(model, t):
+    """R(t) as a float array; ``OverflowSignal`` where R(t) is not a
+    positive finite float (an exponential or power law can leave the float
+    range for valid parameters)."""
+    with np.errstate(over="ignore", under="ignore"):
+        r = np.asarray(model.scale(t), dtype=float)
+    if not np.all((r > 0.0) & np.isfinite(r)):
+        raise OverflowSignal("scale factor R(t) is not a positive finite float")
+    return r
+
+
 def _check_kind(packet):
     if packet.rel.kind is Kind.LATTICE:
         raise KindMismatch("FRW propagation covers the continuum dispersions only")
@@ -135,7 +146,7 @@ def mean_velocity(packet, model, t, spec=DEFAULT_SPEC):
     if not math.isfinite(t):
         raise InvalidInput("t must be finite")
     kind = packet.rel.kind
-    ratio = float(model.scale(0.0)) / float(model.scale(t))
+    ratio = float(_scale(model, 0.0)) / float(_scale(model, t))
     if kind is Kind.MASSLESS:
         return packet.beta_r / packet.alpha
     if kind is Kind.NON_RELATIVISTIC:
@@ -199,8 +210,8 @@ def comoving_trace(packet, model, t_values, spec=DEFAULT_SPEC):
 
     rel = packet.rel
     alpha, beta_r, beta_i = packet.alpha, packet.beta_r, packet.beta_i
-    r0 = float(model.scale(0.0))
-    rt = model.scale(t_values)
+    r0 = float(_scale(model, 0.0))
+    rt = _scale(model, t_values)
     k = len(t_values)
     # A table's R is only piecewise smooth, so its knots inside the traced
     # range become extra interval edges of the time integral (Simpson then

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dispersion import Kind
-from .numerics import DEFAULT_SPEC, _bessel_i_vec, _bessel_k01_vec, _integrate_halfline
+from .numerics import DEFAULT_SPEC, _adaptive, _bessel_i_vec, _bessel_k01_vec, _tail_budget
 from .packet import expectation_many
 
 __all__ = [
@@ -113,10 +113,10 @@ def relativistic_k0_integral(mass, alpha, beta_r, spec=DEFAULT_SPEC):
 
     def f(y):
         arg = 2.0 * mass * np.sqrt((alpha + y) ** 2 - beta_r**2)
-        k0, _, _, _ = _bessel_k01_vec(arg.astype(complex), spec)
+        k0, _, _, _ = _bessel_k01_vec(arg.astype(complex))
         return k0
 
-    val, _ = _integrate_halfline(f, 2.0 * mass, spec, initial_panels=8)
+    val, _ = _adaptive(f, 0.0, _tail_budget(spec) / (2.0 * mass), spec, initial_panels=8)
     return float(val.real)
 
 
@@ -164,7 +164,7 @@ def moments_closed_form(packet, spec=DEFAULT_SPEC):
     elif rel.kind is Kind.RELATIVISTIC:
         m = rel.mass
         s = math.sqrt(alpha**2 - beta_r**2)
-        kv = _bessel_k01_vec(2.0 * m * s, spec)
+        kv = _bessel_k01_vec(2.0 * m * s)
         k0, k1 = float(kv[0][0].real), float(kv[1][0].real)
         kfac = 1.0 + m * s * k0 / k1
         j_int = relativistic_k0_integral(m, alpha, beta_r, spec)

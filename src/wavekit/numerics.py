@@ -11,9 +11,13 @@ Kronrod value and the |K21 - G10| error estimate, and each round splits the
 worst panels together, evaluating their children two panels per vectorised
 integrand call.
 
-Bessel strategy: power series for small argument (|z| <= 8), integral
-representations evaluated by quadrature otherwise. The two regimes overlap
-on |z| in [6, 8], where they are cross-checked in the test suite.
+Bessel strategy: power series for small argument (|z| <= 8). Beyond that,
+K_0/K_1 are one fixed 19-node trapezoid sum on the steepest-descent path of
+their integral representation (``_k01_quadrature``), uniform in arg z up to
+the imaginary axis, and J/Y follow from K_v(-ix); I_n uses Bessel's integral
+under the periodic trapezoid rule. K and J/Y evaluations run no adaptive
+or doubling rule. The regimes overlap on |z| in [6, 8], where they are
+cross-checked in the test suite and by ``wavekit selfcheck``.
 """
 
 from __future__ import annotations
@@ -326,12 +330,27 @@ def integrate_line(f, decay_rate=None, spec=DEFAULT_SPEC, *, breakpoints=()):
     return ComplexAmplitude(complex(value), float(np.max(err)))
 
 
-def _integrate_halfline(f, decay_rate, spec=DEFAULT_SPEC, breakpoints=(), initial_panels=4):
-    """Adaptive integral on [0, inf) of an exponentially decaying integrand."""
-    if decay_rate <= 0.0:
-        raise InvalidInput("decay_rate must be > 0")
-    window = _tail_budget(spec) / decay_rate
-    return _adaptive(f, 0.0, window, spec, breakpoints=breakpoints, initial_panels=initial_panels)
+def _periodic(f, period, spec, points=16):
+    """Trapezoid sum of a smooth periodic ``f`` over one period from
+    ``points`` nodes, doubled until the increment meets the tolerance;
+    returns (value, err) arrays. ``points`` must exceed twice the
+    integrand's highest frequency, or two doublings can alias alike."""
+    a = -0.5 * period
+    n = points
+    q = period * _eval_points(f, a + period * np.arange(n) / n).mean(axis=0)
+    max_points = 1 << 20
+    while n <= max_points:
+        mids = a + period * (np.arange(n) + 0.5) / n
+        q_new = 0.5 * q + 0.5 * period * _eval_points(f, mids).mean(axis=0)
+        err = np.abs(q_new - q)
+        q = q_new
+        n *= 2
+        if np.all(err <= spec.relative_tolerance * np.abs(q) + spec.absolute_floor):
+            return q, err
+    raise NonConvergence(
+        "periodic rule did not converge below %d points" % max_points,
+        value=q,
+    )
 
 
 def integrate_periodic(f, period, spec=DEFAULT_SPEC):
@@ -343,33 +362,10 @@ def integrate_periodic(f, period, spec=DEFAULT_SPEC):
     """
     if period <= 0.0 or not math.isfinite(period):
         raise InvalidInput("period must be > 0")
-    a = -0.5 * period
-    n = 16
-    vals = _eval_points(f, a + period * np.arange(n) / n)
-    q = period * vals.mean(axis=0)
-    max_points = 1 << 20
-    while n <= max_points:
-        mids = a + period * (np.arange(n) + 0.5) / n
-        q_new = 0.5 * q + 0.5 * period * _eval_points(f, mids).mean(axis=0)
-        err = np.abs(q_new - q)
-        q = q_new
-        n *= 2
-        if np.all(err <= spec.relative_tolerance * np.abs(q) + spec.absolute_floor):
-            if np.ndim(q) == 0:
-                return ComplexAmplitude(complex(q), float(np.max(err)))
-            return q, err
-    raise NonConvergence(
-        "periodic rule did not converge below %d points" % max_points,
-        value=q,
-    )
-
-
-def _periodic_vector(f, period, spec):
-    """integrate_periodic for vector-valued integrands, returning arrays."""
-    out = integrate_periodic(f, period, spec)
-    if isinstance(out, ComplexAmplitude):
-        return np.asarray(out.value), np.asarray(out.abs_error)
-    return out
+    q, err = _periodic(f, period, spec)
+    if np.ndim(q) == 0:
+        return ComplexAmplitude(complex(q), float(np.max(err)))
+    return q, err
 
 
 # ---------------------------------------------------------------------------
@@ -428,8 +424,7 @@ def _i_quadrature(n, z, spec=DEFAULT_SPEC):
         th = theta[(...,) + extra]
         return np.exp(z_b * np.cos(th)) * np.cos(n_b * th) / (2.0 * np.pi)
 
-    value, err = _periodic_vector(f, 2.0 * np.pi, spec)
-    return value, err
+    return _periodic(f, 2.0 * np.pi, spec)
 
 
 def _bessel_i_vec(n, z, spec=DEFAULT_SPEC):
@@ -511,30 +506,43 @@ def _k01_series(z):
     return k0, k1, err0, err1
 
 
-def _k01_quadrature(z, spec=DEFAULT_SPEC):
-    """K_v(z) = int_0^inf exp(-z cosh u) cosh(v u) du for v in {0, 1}.
+# _k01_quadrature's nodes y = 0, h, ..., 18h, folded onto y >= 0 (weight h
+# at 0, 2h elsewhere) with the exp(-y^2) factor (< 1e-17 past the last
+# node). The integrand's singularities lie >= sqrt(|z|) off the real axis,
+# so the discretisation error ~exp(a^2 - 2 pi a/h), a = min(sqrt|z|, pi/h),
+# is below 1e-16 for |z| >= 6. Rows: K_0's sum and the y^2 part K_1 adds.
+_SD_STEP = 0.35
+_SD_NODES = _SD_STEP * np.arange(19)
+_SD_WEIGHTS = (np.where(_SD_NODES == 0.0, _SD_STEP, 2.0 * _SD_STEP) * np.exp(-_SD_NODES**2)
+               * np.stack([np.ones_like(_SD_NODES), _SD_NODES**2]))
+# Rounding bound of the sum, relative to the sum of its terms' magnitudes.
+_SD_ROUNDING = (len(_SD_NODES) + 4) * np.finfo(float).eps
 
-    The window is truncated where exp(-Re z cosh u) falls below the
-    absolute floor.
+
+def _k01_quadrature(z):
+    """K_0, K_1 for |z| >= 6, Re z >= 0 (used beyond the series radius), by
+    one fixed trapezoid sum on the steepest-descent path.
+
+    From K_v(z) = int_1^inf exp(-z t) t^v (t^2 - 1)^(-1/2) dt, the ray
+    t = 1 + y^2/z makes exp(-z t) = exp(-z) exp(-y^2), so
+    K_0 = exp(-z) z^(-1/2) int exp(-y^2) (2 + y^2/z)^(-1/2) dy over the
+    real line, and K_1 carries the extra factor t = 1 + y^2/z. The rule is
+    uniform in arg z up to and including the imaginary axis. The error
+    estimate is the rounding bound of the sum.
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
-    re_min = float(np.min(z.real))
-    if re_min <= 0.0:
-        raise InvalidInput("K_v integral representation requires Re z > 0")
-    budget = _tail_budget(spec) / re_min
-    upper = math.acosh(max(budget, 1.0) + 0.5)
-    extra = (np.newaxis,) * z.ndim
-
-    def f(u):
-        uu = u[(...,) + extra]
-        damp = np.exp(-z * np.cosh(uu))
-        return np.stack([damp, damp * np.cosh(uu)], axis=1)
-
-    value, err = _adaptive(f, 0.0, upper, spec, initial_panels=8)
-    return value[0], value[1], err[0], err[1]
+    inv = 1.0 / z
+    r = 1.0 / np.sqrt(2.0 + inv[..., np.newaxis] * _SD_NODES**2)
+    sums = np.einsum("kj,...j->...k", _SD_WEIGHTS, r)
+    mags = np.einsum("kj,...j->...k", _SD_WEIGHTS, np.abs(r))
+    pref = np.exp(-z) / np.sqrt(z)
+    k0 = pref * sums[..., 0]
+    k1 = pref * (sums[..., 0] + inv * sums[..., 1])
+    bound = _SD_ROUNDING * np.abs(pref)
+    return k0, k1, bound * mags[..., 0], bound * (mags[..., 0] + np.abs(inv) * mags[..., 1])
 
 
-def _bessel_k01_vec(z, spec=DEFAULT_SPEC):
+def _bessel_k01_vec(z):
     """Vectorized (K_0, K_1) over complex arguments with Re z > 0."""
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     if np.any(z.real <= 0.0):
@@ -548,17 +556,17 @@ def _bessel_k01_vec(z, spec=DEFAULT_SPEC):
         a, b, ea, eb = _k01_series(z[small])
         k0[small], k1[small], e0[small], e1[small] = a, b, ea, eb
     if np.any(~small):
-        a, b, ea, eb = _k01_quadrature(z[~small], spec)
+        a, b, ea, eb = _k01_quadrature(z[~small])
         k0[~small], k1[~small], e0[~small], e1[~small] = a, b, ea, eb
     return k0, k1, e0, e1
 
 
-def bessel_k01(z, spec=DEFAULT_SPEC):
+def bessel_k01(z):
     """Modified Bessel functions (K_0(z), K_1(z)) for Re z > 0."""
     z = complex(z)
     if z.real <= 0.0:
         raise InvalidInput("bessel_k01 requires Re z > 0")
-    k0, k1, e0, e1 = _bessel_k01_vec(z, spec)
+    k0, k1, e0, e1 = _bessel_k01_vec(z)
     return (
         ComplexAmplitude(complex(k0[0]), float(e0[0])),
         ComplexAmplitude(complex(k1[0]), float(e1[0])),
@@ -602,48 +610,17 @@ def _jy_series(x):
     return j0, y0, j1, y1
 
 
-def _jy_quadrature(x, spec=DEFAULT_SPEC):
-    """Integral-representation evaluation of (J_0, Y_0, J_1, Y_1) for x > 8.
-
-    J_n from Bessel's integral over a full period; Y_n from the deformed
-    Mehler-Sonine form: an oscillatory piece on [0, pi/2] plus an
-    exponentially damped tail.
-    """
+def _jy_quadrature(x):
+    """(J_0, Y_0, J_1, Y_1) for x > 8 from K_v on the imaginary axis:
+    K_0(-ix) = (i pi/2)(J_0 + i Y_0), K_1(-ix) = -(pi/2)(J_1 + i Y_1)
+    (DLMF 10.27.8)."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    extra = (np.newaxis,) * x.ndim
-    x_max = float(np.max(x))
-    x_min = float(np.min(x))
-
-    def f_period(theta):
-        th = theta[(...,) + extra]
-        phase = x * np.sin(th)
-        return np.stack([np.cos(-phase), np.cos(th - phase)], axis=1)
-
-    (j0, j1), _ = _periodic_vector(lambda t: f_period(t) / (2.0 * np.pi), 2.0 * np.pi, spec)
-
-    # Oscillatory piece: resolve roughly x_max / (2 pi) wavelengths.
-    panels = np.linspace(0.0, 0.5 * np.pi, max(9, int(x_max / 2.0) + 2))
-
-    def f_osc(theta):
-        th = theta[(...,) + extra]
-        u = x * np.cos(th)
-        return np.stack([np.sin(u), np.cos(th) * np.cos(u)], axis=1).astype(complex)
-
-    osc, _ = _adaptive(f_osc, 0.0, 0.5 * np.pi, spec, breakpoints=panels[1:-1])
-
-    def f_tail(u):
-        uu = u[(...,) + extra]
-        damp = np.exp(-x * uu) / np.sqrt(1.0 + uu * uu)
-        return np.stack([damp, uu * damp], axis=1).astype(complex)
-
-    tail, _ = _integrate_halfline(f_tail, x_min, spec)
-
-    y0 = (2.0 / np.pi) * (osc[0].real - tail[0].real)
-    y1 = -(2.0 / np.pi) * (osc[1].real + tail[1].real)
-    return j0.real, y0, j1.real, y1
+    k0, k1, _, _ = _k01_quadrature(-1j * x)
+    c = 2.0 / np.pi
+    return c * k0.imag, -c * k0.real, -c * k1.real, -c * k1.imag
 
 
-def _bessel_jy_vec(x, spec=DEFAULT_SPEC):
+def _bessel_jy_vec(x):
     """Vectorized (J_0, Y_0, J_1, Y_1) for real x > 0."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(x <= 0.0):
@@ -654,24 +631,24 @@ def _bessel_jy_vec(x, spec=DEFAULT_SPEC):
         for slot, arr in zip(out, _jy_series(x[small])):
             slot[small] = arr
     if np.any(~small):
-        for slot, arr in zip(out, _jy_quadrature(x[~small], spec)):
+        for slot, arr in zip(out, _jy_quadrature(x[~small])):
             slot[~small] = arr
     return tuple(out)
 
 
-def bessel_j0_y0(x, spec=DEFAULT_SPEC):
+def bessel_j0_y0(x):
     """(J_0(x), N_0(x)) for real x > 0."""
     x = float(x)
     if x <= 0.0:
         raise InvalidInput("bessel_j0_y0 requires x > 0")
-    j0, y0, _, _ = _bessel_jy_vec(x, spec)
+    j0, y0, _, _ = _bessel_jy_vec(x)
     return float(j0[0]), float(y0[0])
 
 
-def bessel_j1_y1(x, spec=DEFAULT_SPEC):
+def bessel_j1_y1(x):
     """(J_1(x), N_1(x)) for real x > 0."""
     x = float(x)
     if x <= 0.0:
         raise InvalidInput("bessel_j1_y1 requires x > 0")
-    _, _, j1, y1 = _bessel_jy_vec(x, spec)
+    _, _, j1, y1 = _bessel_jy_vec(x)
     return float(j1[0]), float(y1[0])

@@ -30,7 +30,7 @@ from .numerics import (
     _bessel_jy_vec,
     _bessel_k01_vec,
     _line_integral,
-    integrate_periodic,
+    _periodic,
 )
 from .packet import density_decay_rate
 
@@ -194,8 +194,12 @@ def evolve_quadrature(packet, x, t, spec=DEFAULT_SPEC):
         return packet.amplitude(p) * np.exp(-1j * e * t + 1j * p * x) / (2.0 * math.pi)
 
     if rel.kind is Kind.LATTICE:
-        period = 2.0 * math.pi / rel.lattice_spacing
-        return integrate_periodic(f, period, spec)
+        # Over the zone the integrand has frequency k = (x + beta_i)/a; a
+        # start below 2|k| nodes could accept two doublings aliased alike.
+        a = rel.lattice_spacing
+        points = 1 << (math.ceil(2.0 * abs(x + packet.beta_i) / a) + 15).bit_length()
+        val, err = _periodic(f, 2.0 * math.pi / a, spec, points)
+        return ComplexAmplitude(complex(val), float(err))
     rate = density_decay_rate(rel, packet.alpha, packet.beta_r, power=1, spec=spec)
     val, err = _line_integral(f, rate, spec)
     return ComplexAmplitude(complex(val), float(np.max(err)))

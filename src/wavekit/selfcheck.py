@@ -480,11 +480,11 @@ def check_special_functions(spec=DEFAULT_SPEC):
                 b = complex(np.ravel(numerics._i_quadrature(n, z, spec)[0])[0])
                 worst_overlap = max(worst_overlap, abs(a - b) / abs(a))
             s0, s1, _, _ = numerics._k01_series(np.array([z]))
-            q0, q1, _, _ = numerics._k01_quadrature(np.array([z]), spec)
+            q0, q1, _, _ = numerics._k01_quadrature(np.array([z]))
             worst_overlap = max(worst_overlap, abs(s0[0] - q0[0]) / abs(s0[0]))
             worst_overlap = max(worst_overlap, abs(s1[0] - q1[0]) / abs(s1[0]))
         sj = numerics._jy_series(np.array([r]))
-        qj = numerics._jy_quadrature(np.array([r]), spec)
+        qj = numerics._jy_quadrature(np.array([r]))
         scale = math.sqrt(2.0 / (math.pi * r))
         for a, b in zip(sj, qj):
             worst_overlap = max(worst_overlap, abs(a[0] - b[0]) / scale)

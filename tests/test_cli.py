@@ -318,6 +318,15 @@ def test_malformed_model_file(tmp_path, body):
     )
 
 
+def test_scale_factor_out_of_range():
+    _assert_config_error(
+        run_cli(
+            "cosmo", "--dispersion", "rel", "--alpha", "1", "--beta-re", "0.5",
+            "--model", "exp", "--hubble", "-200",
+        )
+    )
+
+
 def test_header_only_model_file(tmp_path):
     path = tmp_path / "model.csv"
     path.write_text("t,R\n")

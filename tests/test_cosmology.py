@@ -1,6 +1,7 @@
 """FRW red-shift laws, conservation identities, and comoving traces."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from wavekit.cosmology import (
     mean_velocity,
 )
 from wavekit.dispersion import DispersionRelation
-from wavekit.errors import InvalidInput, KindMismatch
+from wavekit.errors import InvalidInput, KindMismatch, OverflowSignal
 from wavekit.moments import moments_quadrature, spreading_width_sq
 from wavekit.packet import expectation_many, make_minimal
 
@@ -257,3 +258,17 @@ class TestComovingTrace:
             comoving_trace(pk, EXPANDING, np.array([0.0, bad]))
         with pytest.raises(InvalidInput):
             comoving_trace(pk, EXPANDING, np.array([bad, 1.0]))
+
+
+@pytest.mark.parametrize("hubble", [-200.0, 200.0])
+def test_scale_factor_outside_float_range(hubble):
+    # R(5) = exp(+-1000) underflows to 0 or overflows to inf: a library
+    # error, raised before any division by R or any warning.
+    pk = make_minimal(REL, 1.0, 0.5, 0.0)
+    model = ExponentialScale(hubble=hubble)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowSignal):
+            mean_velocity(pk, model, 5.0)
+        with pytest.raises(OverflowSignal):
+            comoving_trace(pk, model, np.linspace(0.0, 5.0, 6))

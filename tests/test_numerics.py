@@ -1,5 +1,6 @@
 """Quadrature and special-function checks against independent oracles."""
 
+import cmath
 import math
 
 import numpy as np
@@ -308,11 +309,30 @@ class TestBesselK:
         k1 = bessel_k01(z)[1].value
         assert abs(dk0 + k1) <= 1e-7
 
-    @pytest.mark.parametrize("z", [0.05, 0.5, 3.0, 8.0, 40.0, 100.0, 2 + 2j, 10 + 30j])
+    @pytest.mark.parametrize(
+        "z",
+        [0.05, 0.5, 3.0, 8.0, 40.0, 100.0, 2 + 2j, 10 + 30j,
+         8.5 * cmath.exp(1.5j), 8.5 * cmath.exp(-1.5j), 20.0 * cmath.exp(1.57j),
+         30.0 * cmath.exp(-1.3j), 600.0],
+    )
     def test_against_scipy(self, z):
+        # The fixed trapezoid sum at |z| > 8 is held to rounding level, up
+        # to the imaginary axis; the series keeps its own gate.
+        rtol = 1e-13 if abs(z) > 8.0 else 1e-9
         for idx, ref in enumerate((special.kv(0, z), special.kv(1, z))):
             got = bessel_k01(z)[idx].value
-            assert abs(got - ref) <= 1e-9 * abs(ref)
+            assert abs(got - ref) <= rtol * abs(ref)
+
+    def test_against_mpmath_near_imaginary_axis(self):
+        mpmath = pytest.importorskip("mpmath")
+        for r in (8.01, 12.0, 20.0, 30.0):
+            for phase in (1.3, 1.5, 1.57, -1.45, -1.5707963):
+                z = r * cmath.exp(1j * phase)
+                for v, got in enumerate(bessel_k01(z)):
+                    with mpmath.workdps(25):
+                        ref = complex(mpmath.besselk(v, mpmath.mpc(z.real, z.imag)))
+                    assert abs(got.value - ref) <= 2e-15 * abs(ref)
+                    assert abs(got.value - ref) <= got.abs_error
 
     @given(st.floats(min_value=0.1, max_value=7.0), st.floats(min_value=-5.0, max_value=5.0))
     @settings(max_examples=40, deadline=None)
@@ -392,6 +412,24 @@ class TestBesselJY:
         assert abs(j1 - special.j1(x)) <= 1e-11 * max(envelope, 1.0)
         assert abs(y1 - special.y1(x)) <= 1e-11 * max(envelope, 1.0)
 
+    def test_against_scipy_above_series_radius(self):
+        x = np.linspace(8.0, 1000.0, 4001)[1:]
+        envelope = np.sqrt(2.0 / (np.pi * x))
+        got = numerics._bessel_jy_vec(x)
+        refs = (special.j0(x), special.y0(x), special.j1(x), special.y1(x))
+        for a, b in zip(got, refs):
+            assert np.max(np.abs(a - b) / envelope) <= 1e-13
+
+    def test_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        for x in (8.01, 13.0, 30.0, 999.0):
+            envelope = math.sqrt(2.0 / (math.pi * x))
+            (j0, y0), (j1, y1) = bessel_j0_y0(x), bessel_j1_y1(x)
+            with mpmath.workdps(25):
+                refs = [float(f(v, x)) for f in (mpmath.besselj, mpmath.bessely) for v in (0, 1)]
+            for got, ref in zip((j0, j1, y0, y1), refs):
+                assert abs(got - ref) <= 2e-15 * envelope
+
     def test_regime_overlap(self):
         for x in (6.0, 7.0, 8.0):
             series = numerics._jy_series(np.array([x]))
@@ -399,3 +437,51 @@ class TestBesselJY:
             scale = math.sqrt(2.0 / (math.pi * x))
             for a, b in zip(series, quad):
                 assert abs(a[0] - b[0]) <= 1e-9 * scale
+
+
+class TestFixedBesselRule:
+    """K_0/K_1 and J/Y beyond the series radius are one fixed sum: no
+    adaptive or periodic rule runs inside a Bessel evaluation."""
+
+    def test_no_adaptive_rule_inside_bessel(self, monkeypatch):
+        from wavekit.propagation import evolve_closed
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("adaptive or periodic rule called")
+
+        calls = []
+        k01_quadrature = numerics._k01_quadrature
+
+        def counting(z):
+            calls.append(z)
+            return k01_quadrature(z)
+
+        pk = make_minimal(DispersionRelation.relativistic(1.0), 1.0, 0.5, 0.0)
+        monkeypatch.setattr(numerics, "_adaptive", forbidden)
+        monkeypatch.setattr(numerics, "_periodic", forbidden)
+        monkeypatch.setattr(numerics, "_k01_quadrature", counting)
+        k0, _ = bessel_k01(30.0 + 5.0j)
+        assert k0.value == pytest.approx(special.kv(0, 30.0 + 5.0j), rel=1e-13)
+        j0, _ = bessel_j0_y0(50.0)
+        assert j0 == pytest.approx(special.j0(50.0), rel=1e-12)
+        row = evolve_closed(pk, np.linspace(-15.0, 15.0, 301), 10.0)
+        assert np.all(np.isfinite(row))
+        assert len(calls) == 3
+
+    def test_rel_closed_form_runs_one_adaptive_rule(self, monkeypatch):
+        from wavekit import moments
+
+        calls = []
+        adaptive = numerics._adaptive
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return adaptive(*args, **kwargs)
+
+        # 2 m sqrt(alpha^2 - beta_r^2) = 4 sqrt(8) > 8: the K_0 integrand's
+        # arguments all go through the fixed sum.
+        pk = make_minimal(DispersionRelation.relativistic(2.0), 3.0, 1.0, 0.0)
+        monkeypatch.setattr(numerics, "_adaptive", counting)
+        monkeypatch.setattr(moments, "_adaptive", counting)
+        moments.moments_closed_form(pk)
+        assert len(calls) == 1

@@ -108,6 +108,15 @@ def test_non_finite_x_t_rejected(rel, beta, bad):
         evolve_closed(pk, np.array([0.0, bad]), 1.0)
 
 
+@pytest.mark.parametrize("t,x", [(3.131722, 129.0), (5.846008, -199.0), (5.846008, -119.0)])
+def test_lattice_oracle_at_far_sites(t, x):
+    # The zone integrand has frequency (x + beta_i)/a; started from too few
+    # points, two doublings aliased alike and passed the increment test.
+    pk = make_minimal(DispersionRelation.lattice(2.129999, 1.0), 1.270367, 0.0, 0.0)
+    oracle = evolve_quadrature(pk, x, t)
+    assert abs(oracle.value - evolve_closed(pk, x, t)) <= 1e-12
+
+
 def test_evolved_gaussian_width():
     pk = make_minimal(NONREL, 1.0, 0.0, 0.0)
     m0 = moments_quadrature(pk)
