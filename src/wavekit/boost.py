@@ -20,8 +20,8 @@ import numpy as np
 from .dispersion import Kind
 from .errors import InvalidBoost, KindMismatch
 from .moments import MomentSet, Provenance, moments_quadrature
-from .numerics import DEFAULT_SPEC, _line_integral
-from .packet import density_decay_rate, expectation_many, make_minimal
+from .numerics import DEFAULT_SPEC, _line_integral, _tail_budget
+from .packet import density_window, expectation_many, make_minimal
 
 __all__ = [
     "BoostParams",
@@ -126,7 +126,8 @@ def boost_minimal_packet(packet, u, spec=DEFAULT_SPEC):
     """Lorentz-boost a relativistic minimal packet's wave function."""
     if packet.rel.kind is not Kind.RELATIVISTIC:
         raise KindMismatch("wave-function boosts are defined for the relativistic kind")
-    rate = density_decay_rate(packet.rel, packet.alpha, packet.beta_r, power=2, spec=spec)
+    lo, hi = density_window(packet.rel, packet.alpha, packet.beta_r, 2, spec)
+    rate = _tail_budget(spec) / max(-lo, hi)
     return lorentz_boost_wavefunction(packet.amplitude, u, packet.rel.mass, decay_rate=rate)
 
 
@@ -145,7 +146,8 @@ def boosted_wave_moments(wave, spec=DEFAULT_SPEC):
         )
         return w * dens[:, np.newaxis]
 
-    vals, _ = _line_integral(f, wave.decay_rate, spec)
+    window = _tail_budget(spec) / wave.decay_rate
+    vals, _ = _line_integral(f, -window, window, spec)
     vals = vals.real
     return {
         "norm": float(vals[0]),
@@ -180,13 +182,13 @@ def boosted_expectations(packet, u, m0=None, spec=DEFAULT_SPEC):
         v_prime = (v - u) / (1.0 - u * v)
         dv_prime = curv * (1.0 - u * u) / (1.0 - u * v) ** 2
         d = beta_r - alpha * v
-        x_w = -beta_i + 1j * d  # Phi* i Phi' / |Phi|^2
-        sym_w = 2.0 * v_prime * x_w  # <v'x + xv'> weight
+        x_w = np.full_like(p, -beta_i)  # Re Phi* i Phi' / |Phi|^2
+        sym_w = 2.0 * v_prime * x_w  # Re <v'x + xv'> weight
         # B Phi = [(1 + u v') i(beta - alpha v) + i (u/2) dv'/dp] Phi
         coef_re = -(1.0 + u * v_prime) * beta_i
         coef_im = (1.0 + u * v_prime) * d + 0.5 * u * dv_prime
         b_sq = coef_re * coef_re + coef_im * coef_im
-        return np.stack([v_prime, x_w, sym_w, b_sq], axis=1).astype(complex)
+        return np.stack([v_prime, x_w, sym_w, b_sq], axis=1)
 
     vals, _ = expectation_many(packet, weights, spec)
     mean_v_b = float(vals[0].real)

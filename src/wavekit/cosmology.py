@@ -228,11 +228,11 @@ def comoving_trace(packet, model, t_values, spec=DEFAULT_SPEC):
 
     def weights(p):
         d = beta_r - alpha * rel.velocity(p)
-        x_w = -beta_i + 1j * d  # Phi* i Phi' / |Phi|^2
+        x_w = np.full_like(p, -beta_i)  # Re Phi* i Phi' / |Phi|^2
         x2_w = d * d + beta_i * beta_i  # |Phi'|^2 / |Phi|^2
         w = _time_integral_grid(lambda tp: drift(p, tp), grid)[rows].T
         v_now = rel.velocity(p[:, np.newaxis] * (r0 / rt))
-        return np.column_stack([x_w, x2_w, w, w * w, w * x_w[:, np.newaxis], v_now])
+        return np.column_stack([x_w, x2_w, w, w * w, -beta_i * w, v_now])
 
     vals, _ = expectation_many(packet, weights, spec)
     vals = vals.real

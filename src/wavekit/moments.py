@@ -78,6 +78,8 @@ def moments_quadrature(packet, spec=DEFAULT_SPEC):
     x = i d/dp acting on Phi gives <x> = (1/2pi) int Phi* i Phi' dp with
     Phi' = (beta - alpha v) Phi, and <x^2> = (1/2pi) int |Phi'|^2 dp; the
     symmetrized correlation is <vx+xv> = 2 Re (1/2pi) int (v Phi)* i Phi' dp.
+    Of Phi* i Phi' / |Phi|^2 = -beta_i + i(beta_r - alpha v) only -beta_i is
+    integrated: the rest integrates to exactly 0 by <v> = beta_r / alpha.
     """
     rel = packet.rel
     alpha, beta_r, beta_i = packet.alpha, packet.beta_r, packet.beta_i
@@ -86,12 +88,10 @@ def moments_quadrature(packet, spec=DEFAULT_SPEC):
         v = rel.velocity(p)
         e = rel.energy(p)
         d = beta_r - alpha * v
-        x_w = -beta_i + 1j * d  # Phi* i Phi' / |Phi|^2
+        x_w = np.full_like(p, -beta_i)  # Re Phi* i Phi' / |Phi|^2
         x2_w = d * d + beta_i * beta_i  # |Phi'|^2 / |Phi|^2
         cvx_w = 2.0 * v * x_w
-        return np.stack(
-            [v, v * v, p, p * p, e, e * e, x_w, x2_w, cvx_w], axis=1
-        ).astype(complex)
+        return np.stack([v, v * v, p, p * p, e, e * e, x_w, x2_w, cvx_w], axis=1)
 
     vals, _ = expectation_many(packet, weights, spec)
     return MomentSet(

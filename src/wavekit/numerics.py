@@ -9,7 +9,8 @@ Finite-interval integrals use a batched, globally adaptive Gauss-Kronrod
 10/21 rule (``_adaptive``): one 21-point evaluation per panel gives the
 Kronrod value and the |K21 - G10| error estimate, and each round splits the
 worst panels together, evaluating their children two panels per vectorised
-integrand call.
+integrand call. Line integrals run it over a window [lo, hi]; a packet's is
+the level set of its log-density at the tail budget (``density_window``).
 
 Bessel strategy: power series for small argument (|z| <= 8). Beyond that,
 K_0/K_1 are one fixed 19-node trapezoid sum on the steepest-descent path of
@@ -102,15 +103,13 @@ _CALL_ELEMENTS = 1 << 16
 class QuadratureSpec:
     """Tolerances and budgets shared by all integration routines.
 
-    ``truncation_decay_rate`` is the default exponential-decay hint used to
-    size the finite window of line integrals when the caller does not pass
-    one explicitly.
+    The absolute floor also sets the tail budget (``_tail_budget``): how far
+    a line integrand's logarithm falls below its peak at the window's ends.
     """
 
     relative_tolerance: float = 1.0e-10
     absolute_floor: float = 1.0e-14
     max_subdivisions: int = 32768
-    truncation_decay_rate: float = 1.0
 
     def __post_init__(self):
         if not 0.0 < self.relative_tolerance < 1.0:
@@ -119,8 +118,6 @@ class QuadratureSpec:
             raise InvalidInput("absolute_floor must be finite and >= 0")
         if self.max_subdivisions < 8:
             raise InvalidInput("max_subdivisions must be >= 8")
-        if self.truncation_decay_rate <= 0.0:
-            raise InvalidInput("truncation_decay_rate must be > 0")
 
 
 DEFAULT_SPEC = QuadratureSpec()
@@ -307,26 +304,25 @@ def _tail_budget(spec):
     return math.log(1.0 / max(spec.absolute_floor, 1e-18)) + _WINDOW_SAFETY
 
 
-def _line_integral(f, decay_rate, spec, breakpoints=()):
-    """Adaptive integral over the real line of ``f`` decaying like
-    ``exp(-decay_rate |p|)``, truncated where the tail budget is spent;
-    returns (value, err) arrays."""
-    window = _tail_budget(spec) / decay_rate
+def _line_integral(f, lo, hi, spec, breakpoints=()):
+    """Adaptive integral of ``f`` over the momentum window [lo, hi], with a
+    breakpoint at 0 (where |p| kinks) and 8 initial panels; returns
+    (value, err) arrays."""
     pts = (0.0,) + tuple(breakpoints)
-    return _adaptive(f, -window, window, spec, breakpoints=pts, initial_panels=8)
+    return _adaptive(f, lo, hi, spec, breakpoints=pts, initial_panels=8)
 
 
-def integrate_line(f, decay_rate=None, spec=DEFAULT_SPEC, *, breakpoints=()):
+def integrate_line(f, decay_rate, spec=DEFAULT_SPEC, *, breakpoints=()):
     """Integrate ``f`` over the real line.
 
     ``f`` must be continuous with ``|f(p)| <= C exp(-decay_rate |p|)`` for
-    large ``|p|``; the decay rate fixes the truncation window so that the
-    discarded tail sits below the absolute floor.
+    large ``|p|``; the integral runs over |p| <= budget / decay_rate, so
+    that the discarded tail sits below the absolute floor.
     """
-    rate = spec.truncation_decay_rate if decay_rate is None else decay_rate
-    if rate <= 0.0 or not math.isfinite(rate):
+    if decay_rate <= 0.0 or not math.isfinite(decay_rate):
         raise InvalidInput("decay_rate must be > 0")
-    value, err = _line_integral(f, rate, spec, breakpoints)
+    window = _tail_budget(spec) / decay_rate
+    value, err = _line_integral(f, -window, window, spec, breakpoints)
     return ComplexAmplitude(complex(value), float(np.max(err)))
 
 

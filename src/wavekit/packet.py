@@ -3,6 +3,10 @@
 In momentum space a minimal packet is Phi(p) = A exp(-alpha E(p) + beta p)
 with alpha > 0 and beta = beta_r + i beta_i. The normalization convention is
 (1/2pi) int |Phi(p)|^2 dp = 1 with A real positive.
+
+Every momentum integral over a packet runs over ``density_window``: the
+level set of the known log |Phi|^2 = 2 (beta_r p - alpha E(p)) + const at
+the tail budget below its maximum (the Brillouin zone for the lattice).
 """
 
 from __future__ import annotations
@@ -18,11 +22,11 @@ from .errors import (
     InvalidParams,
     LatticePeriodicityError,
     NonConvergence,
+    OverflowSignal,
     Unsatisfiable,
 )
 from .numerics import (
     DEFAULT_SPEC,
-    _adaptive,
     _bessel_i_vec,
     _bessel_k01_vec,
     _line_integral,
@@ -99,46 +103,48 @@ def _validate_params(rel, alpha, beta_r, beta_i):
             )
 
 
-def density_decay_rate(rel, alpha, beta_r, power=2, spec=DEFAULT_SPEC):
-    """Exponential-decay hint for integrands carrying |Phi|^power.
+def density_window(rel, alpha, beta_r, power=2, spec=DEFAULT_SPEC):
+    """Momentum window (lo, hi) of integrands carrying |Phi|^power.
 
     ``power`` = 2 for density-weighted integrals, 1 for single-amplitude
-    Fourier integrals. The non-relativistic Gaussian decays faster than any
-    exponential; there the rate is chosen so the truncation window covers
-    the point where the exponent reaches the tail budget.
+    Fourier integrals. With g(p) = alpha E(p) - beta_r p the window is the
+    level set power (g - min g) = B of the tail budget B, where |Phi|^power
+    has fallen exp(-B) below its peak; the lattice window is the zone.
     """
-    s = 0.5 * power
+    if rel.kind is Kind.LATTICE:
+        return -math.pi / rel.lattice_spacing, math.pi / rel.lattice_spacing
+    b, m = _tail_budget(spec) / power, rel.mass
     if rel.kind is Kind.NON_RELATIVISTIC:
-        m = rel.mass
-        budget = _tail_budget(spec)
-        # Solve s*alpha*P^2/m - 2*s*|beta_r|*P = budget for the window P.
-        b = abs(beta_r)
-        window = (b + math.sqrt(b * b + alpha * budget / (s * m))) * m / alpha
-        return budget / window
-    return 2.0 * s * (alpha - abs(beta_r))
+        # g - min g = alpha (p - p_bar)^2 / 2m with p_bar = m beta_r / alpha.
+        half = math.sqrt(2.0 * m * b / alpha)
+        return m * beta_r / alpha - half, m * beta_r / alpha + half
+    # Rel and massless: min g = m s, s^2 = alpha^2 - beta_r^2, and squaring
+    # alpha sqrt(p^2 + m^2) = beta_r p + m s + b gives a quadratic in p.
+    s2 = alpha * alpha - beta_r * beta_r
+    ms = m * math.sqrt(s2)
+    root = alpha * math.sqrt(b * (2.0 * ms + b))
+    return ((ms + b) * beta_r - root) / s2, ((ms + b) * beta_r + root) / s2
 
 
 def expectation_many(packet, weight, spec=DEFAULT_SPEC):
     """(1/2pi) int weight(p) |Phi(p)|^2 dp for a stack of weights.
 
     ``weight`` maps an ndarray of momenta (n,) to an array (n, k); returns
-    (values, errors) of shape (k,). Works on the packet's natural domain.
+    (values, errors) of shape (k,). The adaptive rule runs over the packet's
+    ``density_window``, on the lattice too: weights such as p are not
+    periodic. ``OverflowSignal`` if the integrand overflows.
     """
-    rel = packet.rel
 
     def f(p):
-        dens = packet.density_momentum(p) / (2.0 * math.pi)
-        return np.asarray(weight(p)) * dens[:, np.newaxis]
+        try:
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                dens = packet.density_momentum(p) / (2.0 * math.pi)
+                return np.asarray(weight(p)) * dens[:, np.newaxis]
+        except FloatingPointError as exc:
+            raise OverflowSignal("packet integrand leaves the float range (%s)" % exc) from None
 
-    if rel.kind is Kind.LATTICE:
-        # Moment weights such as p and p^2 are not periodic over the zone,
-        # so Gauss panels on the finite interval are used instead of the
-        # spectral trapezoid rule.
-        cut = math.pi / rel.lattice_spacing
-        return _adaptive(f, -cut, cut, spec, initial_panels=8)
-
-    rate = density_decay_rate(rel, packet.alpha, packet.beta_r, power=2, spec=spec)
-    return _line_integral(f, rate, spec)
+    lo, hi = density_window(packet.rel, packet.alpha, packet.beta_r, 2, spec)
+    return _line_integral(f, lo, hi, spec)
 
 
 def closed_form_norm_constant(rel, alpha, beta_r):
@@ -175,11 +181,7 @@ def make_minimal(rel, alpha, beta_r=0.0, beta_i=0.0, spec=DEFAULT_SPEC):
     beta_i = float(beta_i)
     _validate_params(rel, alpha, beta_r, beta_i)
     probe = PacketParams(rel, alpha, beta_r, beta_i, norm_A=1.0)
-
-    def one(p):
-        return np.ones((len(p), 1))
-
-    vals, _ = expectation_many(probe, one, spec)
+    vals, _ = expectation_many(probe, lambda p: np.ones((len(p), 1)), spec)
     norm_sq = float(np.real(vals[0]))
     if not (norm_sq > 0.0 and math.isfinite(norm_sq)):
         raise InvalidParams("packet is not normalizable with these parameters")

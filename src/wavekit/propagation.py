@@ -32,7 +32,7 @@ from .numerics import (
     _line_integral,
     _periodic,
 )
-from .packet import density_decay_rate
+from .packet import density_window
 
 __all__ = [
     "DensityGrid",
@@ -200,8 +200,8 @@ def evolve_quadrature(packet, x, t, spec=DEFAULT_SPEC):
         points = 1 << (math.ceil(2.0 * abs(x + packet.beta_i) / a) + 15).bit_length()
         val, err = _periodic(f, 2.0 * math.pi / a, spec, points)
         return ComplexAmplitude(complex(val), float(err))
-    rate = density_decay_rate(rel, packet.alpha, packet.beta_r, power=1, spec=spec)
-    val, err = _line_integral(f, rate, spec)
+    lo, hi = density_window(rel, packet.alpha, packet.beta_r, 1, spec)
+    val, err = _line_integral(f, lo, hi, spec)
     return ComplexAmplitude(complex(val), float(np.max(err)))
 
 

@@ -390,9 +390,8 @@ def check_cosmology(spec=DEFAULT_SPEC):
     mass = pk_rel.rel.mass
 
     def exact(p):
-        x_w = -pk_rel.beta_i + 1j * (pk_rel.beta_r - pk_rel.alpha * pk_rel.rel.velocity(p))
         w = np.arcsinh(p / mass)[:, np.newaxis] - np.arcsinh(np.outer(p, 1.0 / (mass * (1.0 + ts))))
-        return np.column_stack([w, w * w, w * x_w[:, np.newaxis]])
+        return np.column_stack([w, w * w, -pk_rel.beta_i * w])
 
     vals, _ = expectation_many(pk_rel, exact, spec)
     w_mean, w_sq, w_x = vals.real.reshape(3, len(ts))

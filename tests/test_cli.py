@@ -61,6 +61,19 @@ def test_moments_both_methods(tmp_path):
     assert abs(float(by_name["saturation_residual"][2])) < 1e-7
 
 
+def test_moments_both_methods_gaussian_core(tmp_path):
+    # alpha m = 50: the relativistic density is a narrow Gaussian.
+    out = tmp_path / "m.csv"
+    args = list(MOMENT_ARGS)
+    args[args.index("--alpha") + 1] = "50"
+    cp = run_cli(*args, "--out", str(out))
+    assert cp.returncode == 0, cp.stderr
+    _, rows = read_csv(out)
+    for name, closed, _quad, diff in rows:
+        if closed and diff:
+            assert float(diff) <= 1e-8 * max(1.0, abs(float(closed))), name
+
+
 def test_byte_identical_reruns(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     assert run_cli(*MOMENT_ARGS, "--out", str(a)).returncode == 0
@@ -323,6 +336,15 @@ def test_scale_factor_out_of_range():
         run_cli(
             "cosmo", "--dispersion", "rel", "--alpha", "1", "--beta-re", "0.5",
             "--model", "exp", "--hubble", "-200",
+        )
+    )
+
+
+def test_tiny_scale_factor():
+    _assert_config_error(
+        run_cli(
+            "cosmo", "--dispersion", "nonrel", "--alpha", "1", "--beta-re", "0.5",
+            "--model", "exp", "--hubble", "-100", "--t-max", "5",
         )
     )
 

@@ -272,3 +272,20 @@ def test_scale_factor_outside_float_range(hubble):
             mean_velocity(pk, model, 5.0)
         with pytest.raises(OverflowSignal):
             comoving_trace(pk, model, np.linspace(0.0, 5.0, 6))
+
+
+@pytest.mark.parametrize("rel", [NONREL, REL, MASSLESS], ids=["nonrel", "rel", "massless"])
+def test_tiny_scale_factor(rel):
+    # R(5) = exp(-500) is a positive float, but the drift v(p R0/R)/R or the
+    # comoving moments W^2 leave the float range: a library error, raised
+    # without any warning.
+    pk = make_minimal(rel, 1.0, 0.5, 0.0)
+    model = ExponentialScale(hubble=-100.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowSignal):
+            comoving_trace(pk, model, np.linspace(0.0, 5.0, 6))
+        if rel is REL:
+            # p R0/R(5) ~ 1e217 p: v(p) would square it past the float range.
+            with pytest.raises(OverflowSignal):
+                mean_velocity(pk, model, 5.0)

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from wavekit.analysis import evolved_moments
+from wavekit.boost import boost_minimal_packet, boosted_wave_moments
 from wavekit.dispersion import DispersionRelation
 from wavekit.moments import (
     MomentSet,
@@ -91,6 +92,28 @@ def test_closed_vs_quadrature(rel, alpha, beta_r):
         if closed is None:
             continue
         assert _rel_diff(getattr(mq, field), closed) <= 1e-8, field
+
+
+@pytest.mark.parametrize(
+    "mass,alpha,beta_r",
+    [(1.0, 10.0, 0.5), (1.0, 50.0, 0.5), (1.0, 200.0, 0.5), (3.0, 16.0, 9.6), (3.0, 10.0, 6.0)],
+)
+def test_relativistic_gaussian_core(mass, alpha, beta_r):
+    # Large alpha m: the density is a narrow Gaussian far above its
+    # exponential tails, and the quadrature window must hold all of it.
+    pk = make_minimal(DispersionRelation.relativistic(mass), alpha, beta_r, 0.0)
+    mq = moments_quadrature(pk)
+    mc = moments_closed_form(pk)
+    for field in MomentSet.FIELDS:
+        assert _rel_diff(getattr(mq, field), getattr(mc, field)) <= 1e-8, field
+    assert abs(mq.width_x * mq.width_v - uncertainty_bound(pk)) <= 1e-7
+
+
+def test_boosted_norm_of_relativistic_gaussian_core():
+    rel = DispersionRelation.relativistic(2.989082)
+    pk = make_minimal(rel, 14.545359, 8.633171, 0.0)
+    wave = boost_minimal_packet(pk, 0.070485)
+    assert abs(boosted_wave_moments(wave)["norm"] - 1.0) <= 1e-8
 
 
 def test_variance_nonnegativity():

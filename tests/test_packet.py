@@ -13,9 +13,11 @@ from wavekit.errors import (
     Unsatisfiable,
 )
 from wavekit.moments import moments_quadrature, uncertainty_bound
+from wavekit.numerics import DEFAULT_SPEC, _tail_budget
 from wavekit.packet import (
     MomentTargets,
     closed_form_norm_constant,
+    density_window,
     expectation_many,
     make_minimal,
     solve_parameters,
@@ -175,3 +177,44 @@ def test_saturation(rel, alpha, beta_r):
     pk = make_minimal(rel, alpha, beta_r, 0.0)
     m = moments_quadrature(pk)
     assert abs(m.width_x * m.width_v - uncertainty_bound(pk)) <= 1e-7
+
+
+class TestDensityWindow:
+    """The window is the level set power (g - min g) = B of
+    g(p) = alpha E(p) - beta_r p, B the tail budget."""
+
+    @pytest.mark.parametrize("power", [1, 2])
+    @pytest.mark.parametrize(
+        "rel,alpha,beta_r,peak",
+        [
+            (NONREL, 1.0, 0.5, 1.5),
+            (NONREL, 0.5, -0.7, -4.2),
+            (REL, 1.0, 0.5, 0.5 / math.sqrt(0.75)),
+            (REL, 50.0, 0.5, 0.5 / math.sqrt(2499.75)),
+            (DispersionRelation.relativistic(3.0), 16.0, 9.6, 3.0 * 9.6 / 12.8),
+            (MASSLESS, 1.0, 0.5, 0.0),
+            (MASSLESS, 2.0, -1.5, 0.0),
+        ],
+    )
+    def test_level_set_at_both_ends(self, rel, alpha, beta_r, peak, power):
+        def g(p):
+            return alpha * float(rel.energy(p)) - beta_r * p
+
+        budget = _tail_budget(DEFAULT_SPEC)
+        lo, hi = density_window(rel, alpha, beta_r, power, DEFAULT_SPEC)
+        assert lo < peak < hi
+        for end in (lo, hi):
+            assert power * (g(end) - g(peak)) == pytest.approx(budget, rel=1e-12)
+
+    def test_massless_limit_of_relativistic(self):
+        for beta_r in (0.0, 0.5, -0.9):
+            massless = density_window(MASSLESS, 1.0, beta_r)
+            tiny = density_window(DispersionRelation.relativistic(1e-9), 1.0, beta_r)
+            assert tiny == pytest.approx(massless, rel=1e-7)
+        budget = _tail_budget(DEFAULT_SPEC)
+        assert density_window(MASSLESS, 1.0, 0.5, 1) == pytest.approx((-budget / 1.5, budget / 0.5), rel=1e-15)
+
+    def test_lattice_zone(self):
+        for spacing in (1.0, 0.5):
+            rel = DispersionRelation.lattice(3.0, spacing)
+            assert density_window(rel, 2.0, 0.0) == (-math.pi / spacing, math.pi / spacing)
