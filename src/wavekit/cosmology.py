@@ -34,6 +34,9 @@ __all__ = [
 ]
 
 _TIME_TOL = 1e-9  # sup-norm tolerance of the cumulative time integral
+# Momenta per cumulative time integral (two 21-point panels): its node grid
+# holds every node of every interval per momentum, so blocks bound its memory.
+_TIME_BLOCK = 42
 
 
 @dataclass(frozen=True)
@@ -230,7 +233,10 @@ def comoving_trace(packet, model, t_values, spec=DEFAULT_SPEC):
         d = beta_r - alpha * rel.velocity(p)
         x_w = np.full_like(p, -beta_i)  # Re Phi* i Phi' / |Phi|^2
         x2_w = d * d + beta_i * beta_i  # |Phi'|^2 / |Phi|^2
-        w = _time_integral_grid(lambda tp: drift(p, tp), grid)[rows].T
+        w = np.concatenate([
+            _time_integral_grid(lambda tp: drift(block, tp), grid)[rows].T
+            for block in np.split(p, range(_TIME_BLOCK, len(p), _TIME_BLOCK))
+        ])
         v_now = rel.velocity(p[:, np.newaxis] * (r0 / rt))
         return np.column_stack([x_w, x2_w, w, w * w, -beta_i * w, v_now])
 

@@ -8,8 +8,9 @@ dependencies beyond numpy.
 Finite-interval integrals use a batched, globally adaptive Gauss-Kronrod
 10/21 rule (``_adaptive``): one 21-point evaluation per panel gives the
 Kronrod value and the |K21 - G10| error estimate, and each round splits the
-worst panels together, evaluating their children two panels per vectorised
-integrand call. Line integrals run it over a window [lo, hi]; a packet's is
+worst panels together, evaluating all their children in one vectorised
+integrand call (split only where a call would exceed ``_CALL_ELEMENTS``
+output values). Line integrals run it over a window [lo, hi]; a packet's is
 the level set of its log-density at the tail budget (``density_window``).
 
 Bessel strategy: power series for small argument (|z| <= 8). Beyond that,
@@ -92,10 +93,9 @@ _G10_WEIGHTS[1:10:2] = _G10_OUTER_WEIGHTS
 _G10_WEIGHTS[11:20:2] = _G10_OUTER_WEIGHTS[::-1]
 _GK_WEIGHTS = np.stack([_K21_WEIGHTS, _K21_WEIGHTS - _G10_WEIGHTS])
 
-# Panels per integrand call (two: 42 points), and the output values a call
-# may produce before wide integrands drop to one panel per call; the cap
-# bounds the memory an integrand allocates per call.
-_CALL_PANELS = 2
+# Output values one integrand call may produce: a round's panels are split
+# into calls of at most this many values (never below one panel per call),
+# which bounds the memory a wide integrand allocates per call.
 _CALL_ELEMENTS = 1 << 16
 
 
@@ -173,7 +173,15 @@ def _fill(f, rows, a, b, store, per_call, tol):
     for j in range(0, len(rows), per_call):
         r = rows[j:j + per_call]
         q, e, _ = _gk_panels(f, a[j:j + per_call], b[j:j + per_call])
-        pq[r], pe[r], prio[r] = q, e, np.max(e / tol, axis=1)
+        pq[r], pe[r], prio[r] = q, e, np.max(_ratio(e, tol), axis=1)
+
+
+def _ratio(err, tol):
+    """err/tol per component, 0 where err = 0 and inf where only tol = 0
+    (a zero tolerance comes from an identically zero column at a zero
+    absolute floor)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(err == 0.0, 0.0, err / tol)
 
 
 def _cover(order, err, excess):
@@ -192,7 +200,7 @@ def _cover(order, err, excess):
 
 
 def _nonconvergence(message, a, b, err, tol, total, toterr, shape):
-    ratio = np.max(err / tol, axis=1)
+    ratio = np.max(_ratio(err, tol), axis=1)
     i = int(np.argmax(ratio))
     return NonConvergence(
         "%s; worst panel [%.17g, %.17g] at err/tol %.3g" % (message, a[i], b[i], ratio[i]),
@@ -211,10 +219,12 @@ def _adaptive(f, lo, hi, spec, breakpoints=(), initial_panels=1):
     sharing every other node. Each round splits, in one batch, the panels of
     highest priority (largest err/tol when they were made) until their
     errors cover the excess of the total error over the tolerance, never
-    past ``spec.max_subdivisions``. The children are evaluated two panels
-    (42 points) per integrand call, one panel per call once a call would
-    exceed ``_CALL_ELEMENTS`` output values; the very first call is one
-    panel and tells the rule the integrand's width. Panels live in arrays
+    past ``spec.max_subdivisions``. The very first call is one panel and
+    tells the rule the integrand's width; after it, the remaining initial
+    panels and then each round's children are evaluated in one integrand
+    call, split into calls of at most ``_CALL_ELEMENTS`` output values
+    (never below one panel per call). Children reach the integrand in
+    order, each parent's two side by side. Panels live in arrays
     updated in place (children are written straight into them), with
     running totals. Convergence requires every
     component to meet ``rtol*|value| + floor``. ``NonConvergence`` (on an
@@ -230,7 +240,7 @@ def _adaptive(f, lo, hi, spec, breakpoints=(), initial_panels=1):
 
     q, e, shape = _gk_panels(f, edges[:1], edges[1:2])
     width = q.shape[1]
-    per_call = max(1, min(_CALL_PANELS, _CALL_ELEMENTS // (len(_GK_NODES) * max(width, 1))))
+    per_call = max(1, _CALL_ELEMENTS // (len(_GK_NODES) * max(width, 1)))
     n = len(edges) - 1
     cap = 2 * n
     store = (np.empty(cap), np.empty(cap), np.empty((cap, width), dtype=complex),
@@ -241,7 +251,7 @@ def _adaptive(f, lo, hi, spec, breakpoints=(), initial_panels=1):
     total = pq[:n].sum(axis=0)
     toterr = pe[:n].sum(axis=0)
     # The initial priorities need the tolerance of the initial total.
-    prio[:n] = np.max(pe[:n] / (rtol * np.abs(total) + floor), axis=1)
+    prio[:n] = np.max(_ratio(pe[:n], rtol * np.abs(total) + floor), axis=1)
     splits = 0
     scale = max(abs(lo), abs(hi), 1.0)
 

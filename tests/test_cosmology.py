@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wavekit import cosmology
 from wavekit.cosmology import (
     ExponentialScale,
     PowerLawScale,
@@ -242,6 +243,26 @@ class TestComovingTrace:
         pk = make_minimal(REL, 1.0, 0.5, 0.0)
         comoving_trace(pk, EXPANDING, np.linspace(0.0, 5.0, 6))
         assert len(calls) == 1
+
+    def test_time_integral_sees_bounded_momentum_blocks(self, monkeypatch):
+        # The time grid holds every node for every momentum, so however many
+        # momenta an adaptive round hands over, one time integral takes at
+        # most a block of them.
+        widths = []
+        integrate = cosmology._time_integral_grid
+
+        def recording(func, t_values):
+            def columns(tp):
+                vals = func(tp)
+                widths.append(vals.shape[1])
+                return vals
+
+            return integrate(columns, t_values)
+
+        monkeypatch.setattr(cosmology, "_time_integral_grid", recording)
+        pk = make_minimal(REL, 1.0, 0.5, 0.0)
+        comoving_trace(pk, EXPANDING, np.linspace(0.0, 5.0, 6))
+        assert max(widths) == 42
 
     def test_input_validation(self):
         pk = make_minimal(REL, 1.0, 0.0, 0.0)

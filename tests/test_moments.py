@@ -1,6 +1,7 @@
 """Moment closed forms against the quadrature oracle and spreading laws."""
 
 import math
+import warnings
 
 import pytest
 
@@ -16,6 +17,7 @@ from wavekit.moments import (
     spreading_width_sq,
     uncertainty_bound,
 )
+from wavekit.numerics import QuadratureSpec
 from wavekit.packet import make_minimal
 
 NONREL = DispersionRelation.non_relativistic(3.0)
@@ -114,6 +116,19 @@ def test_boosted_norm_of_relativistic_gaussian_core():
     pk = make_minimal(rel, 14.545359, 8.633171, 0.0)
     wave = boost_minimal_packet(pk, 0.070485)
     assert abs(boosted_wave_moments(wave)["norm"] - 1.0) <= 1e-8
+
+
+def test_zero_absolute_floor():
+    # The <x> column is identically zero at beta_i = 0, so its tolerance is
+    # 0 at a zero floor; its err/tol must not divide 0 by 0.
+    spec = QuadratureSpec(absolute_floor=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        m = moments_quadrature(make_minimal(REL, 1, 0.5, 0, spec), spec)
+    ref = moments_quadrature(make_minimal(REL, 1, 0.5, 0))
+    assert m.mean_x == 0.0
+    for name in MomentSet.FIELDS[1:]:
+        assert getattr(m, name) == pytest.approx(getattr(ref, name), rel=1e-12, abs=0.0)
 
 
 def test_variance_nonnegativity():

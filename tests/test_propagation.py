@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from wavekit import numerics
 from wavekit.analysis import evolved_moments, ridge_slope
 from wavekit.boost import galilean_boost
 from wavekit.dispersion import DispersionRelation
@@ -115,6 +116,23 @@ def test_lattice_oracle_at_far_sites(t, x):
     pk = make_minimal(DispersionRelation.lattice(2.129999, 1.0), 1.270367, 0.0, 0.0)
     oracle = evolve_quadrature(pk, x, t)
     assert abs(oracle.value - evolve_closed(pk, x, t)) <= 1e-12
+
+
+def test_oracle_integrand_calls(monkeypatch):
+    # One integrand call per adaptive round after the first panel: 49 panels
+    # (1029 points) took 25 calls at two panels per call.
+    pk = make_minimal(REL, 1.0, 0.5)
+    sizes = []
+    evaluate = numerics._eval_points
+
+    def counting(f, pts):
+        sizes.append(len(pts))
+        return evaluate(f, pts)
+
+    monkeypatch.setattr(numerics, "_eval_points", counting)
+    evolve_quadrature(pk, 3.0, 5.0)
+    assert sum(sizes) == 1029
+    assert len(sizes) <= 6
 
 
 def test_evolved_gaussian_width():
