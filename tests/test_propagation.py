@@ -119,8 +119,8 @@ def test_lattice_oracle_at_far_sites(t, x):
 
 
 def test_oracle_integrand_calls(monkeypatch):
-    # One integrand call per adaptive round after the first panel: 49 panels
-    # (1029 points) took 25 calls at two panels per call.
+    # The first panel alone, the other initial panels together, then one
+    # call per round: 49 panels (1029 points) in a handful of calls.
     pk = make_minimal(REL, 1.0, 0.5)
     sizes = []
     evaluate = numerics._eval_points
