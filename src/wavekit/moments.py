@@ -149,7 +149,7 @@ def moments_closed_form(packet, spec=DEFAULT_SPEC):
     elif rel.kind is Kind.LATTICE:
         m, a = rel.mass, rel.lattice_spacing
         arg = 2.0 * alpha / (m * a * a)
-        iv, _ = _bessel_i_vec(np.array([0, 1]), arg)
+        iv, _ = _bessel_i_vec([0, 1], arg)
         i0, i1 = float(iv[0].real), float(iv[1].real)
         ratio = i1 / i0
         out = dict(

@@ -16,10 +16,10 @@ the level set of its log-density at the tail budget (``density_window``).
 Bessel strategy: power series for small argument (|z| <= 8). Beyond that,
 K_0/K_1 are one fixed 19-node trapezoid sum on the steepest-descent path of
 their integral representation (``_k01_quadrature``), uniform in arg z up to
-the imaginary axis, and J/Y follow from K_v(-ix); I_n uses Bessel's integral
-under the periodic trapezoid rule. K and J/Y evaluations run no adaptive
-or doubling rule. The regimes overlap on |z| in [6, 8], where they are
-cross-checked in the test suite and by ``wavekit selfcheck``.
+the imaginary axis, and J/Y follow from K_v(-ix); I_n, at all orders asked
+for, is one Miller recurrence normalised by e^z (``_i_recurrence``). No
+Bessel evaluation runs an adaptive or doubling rule. The regimes overlap on
+|z| in [6, 8], where the test suite and ``wavekit selfcheck`` compare them.
 """
 
 from __future__ import annotations
@@ -419,54 +419,54 @@ def _i_series(n, z):
     return total.reshape(shape), err.reshape(shape)
 
 
-def _i_quadrature(n, z, spec=DEFAULT_SPEC):
-    """I_n(z) = (1/2pi) int_{-pi}^{pi} exp(z cos t) cos(n t) dt."""
-    n_arr = np.atleast_1d(np.asarray(n, dtype=int))
-    z_arr = np.atleast_1d(np.asarray(z, dtype=complex))
-    n_b, z_b = np.broadcast_arrays(n_arr, z_arr)
-    extra = (np.newaxis,) * n_b.ndim
-
-    def f(theta):
-        th = theta[(...,) + extra]
-        return np.exp(z_b * np.cos(th)) * np.cos(n_b * th) / (2.0 * np.pi)
-
-    return _periodic(f, 2.0 * np.pi, spec)
-
-
-def _bessel_i_vec(n, z, spec=DEFAULT_SPEC):
-    """Vectorized I_n over broadcast integer orders and complex arguments."""
-    n_arr = np.abs(np.atleast_1d(np.asarray(n, dtype=int)))  # I_{-n} = I_n
-    z_arr = np.atleast_1d(np.asarray(z, dtype=complex))
-    n_b, z_b = np.broadcast_arrays(n_arr, z_arr)
-    n_b = np.ascontiguousarray(n_b)
-    z_b = np.ascontiguousarray(z_b)
-    value = np.zeros(n_b.shape, dtype=complex)
-    err = np.zeros(n_b.shape, dtype=float)
-    small = np.abs(z_b) <= _SERIES_RADIUS
-    if np.any(small):
-        v, e = _i_series(n_b[small], z_b[small])
-        value[small], err[small] = v, e
-    if np.any(~small):
-        v, e = _i_quadrature(n_b[~small], z_b[~small], spec)
-        value[~small], err[~small] = v, e
-    return value, err
+def _i_recurrence(n, z):
+    """I_n(z) at orders ``n`` >= 0 (any shape) for one complex z: Miller's
+    backward recurrence (DLMF 3.6(iii)) from zero above max(n) + 2|z| + 60 on
+    the ratios I_k/I_{k-1} = 1/(2k/z + I_{k+1}/I_k), whose running products
+    are I_k/I_0; e^z = I_0 + 2 sum I_k (DLMF 10.35.5) gives I_0. Re z < 0
+    runs at -z, I_n(-z) = (-1)^n I_n(z), so that sum does not cancel. The
+    error is the rounding bound (steps + 4) eps (|I_0| + 2 sum |I_k|)."""
+    if z.real < 0.0:
+        value, err = _i_recurrence(n, -z)
+        return np.where(n % 2 == 1, -value, value), err
+    start = int(np.max(n, initial=0) + 2.0 * abs(z)) + 60
+    if start > 1 << 20:
+        raise NonConvergence("I_n recurrence would take %d steps (> 2^20, 16 MB of ratios)" % start)
+    ratios = np.ones(start + 1, dtype=complex)  # I_k / I_{k-1}, 1 at k = 0
+    r = 0j
+    for k in range(start, 0, -1):
+        r = ratios[k] = 1.0 / (2.0 * k / z + r)
+    terms = np.cumprod(ratios)  # I_k / I_0
+    i0 = np.exp(z) / (2.0 * terms.sum() - 1.0)
+    bound = (start + 4) * np.finfo(float).eps * (2.0 * np.abs(terms).sum() - 1.0) * abs(i0)
+    return i0 * terms[n], np.full(np.shape(n), bound)
 
 
-def bessel_i_integer(n, z, spec=DEFAULT_SPEC):
-    """Modified Bessel function I_n of integer order for complex argument."""
+def _bessel_i_vec(n, z):
+    """(I_n(z), abs_error) at integer orders ``n`` (any shape) for one complex
+    z: the series for |z| <= 8, else (or for no orders) the recurrence."""
+    n = np.abs(np.asarray(n, dtype=int))  # I_{-n} = I_n
+    z = complex(z)
+    if abs(z) > _SERIES_RADIUS or n.size == 0:
+        return _i_recurrence(n, z)
+    value, err = _i_series(n, z)
+    return value.reshape(n.shape), err.reshape(n.shape)
+
+
+def bessel_i_integer(n, z):
+    """Modified Bessel function I_n of integer order for complex argument, by
+    series or one Miller recurrence (no adaptive or doubling rule)."""
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise InvalidInput("argument of I_n must be finite")
     if abs(z.real) > 700.0:
-        # exp(|Re z|) overflows double precision inside both evaluation
-        # routes before the result itself leaves the representable range.
+        # e^|Re z| overflows inside the recurrence before I_n leaves float range.
         raise OverflowSignal("I_%d(%s) exceeds the representable range" % (int(n), z))
-    value, err = _bessel_i_vec(int(n), z, spec)
-    v = complex(value[()] if np.ndim(value) == 0 else value.reshape(-1)[0])
-    e = float(err[()] if np.ndim(err) == 0 else err.reshape(-1)[0])
+    value, err = _bessel_i_vec(int(n), z)
+    v = complex(value)
     if not (math.isfinite(v.real) and math.isfinite(v.imag)):
         raise OverflowSignal("I_%d(%s) exceeds the representable range" % (int(n), z))
-    return ComplexAmplitude(v, e)
+    return ComplexAmplitude(v, float(err))
 
 
 # ---------------------------------------------------------------------------

@@ -156,7 +156,7 @@ def closed_form_norm_constant(rel, alpha, beta_r):
     if rel.kind is Kind.LATTICE:
         a = rel.lattice_spacing
         arg = 2.0 * alpha / (rel.mass * a * a)
-        i0 = float(np.ravel(_bessel_i_vec(0, arg)[0])[0].real)
+        i0 = float(_bessel_i_vec(0, arg)[0].real)
         return 1.0 / math.sqrt(i0 / a)
     if rel.kind is Kind.RELATIVISTIC:
         m = rel.mass

@@ -115,12 +115,12 @@ def _require_finite(x, t):
         raise InvalidInput("x and t must be finite")
 
 
-def greens_closed(rel, x, t, spec=DEFAULT_SPEC):
+def greens_closed(rel, x, t):
     """Closed-form Green's function G(x, t) for any dispersion kind.
 
-    ``x`` may be an ndarray; ``t`` is a scalar (real or complex). Complex
-    ``t`` must satisfy Im t < 0 for the relativistic continuation.
-    """
+    ``x`` may be an ndarray; ``t`` is a scalar (real or complex); complex ``t``
+    needs Im t < 0 for the relativistic continuation. A lattice row is I_n by
+    series, or past |z| = 8 one Miller recurrence: no adaptive or doubling rule."""
     _require_finite(x, t)
     scalar = np.ndim(x) == 0
     m = rel.mass
@@ -138,7 +138,7 @@ def greens_closed(rel, x, t, spec=DEFAULT_SPEC):
         a = rel.lattice_spacing
         n = _site_indices(rel, np.real(x))
         z = 1j * complex(t) / (m * a * a)
-        vals, _ = _bessel_i_vec(n, z, spec)
+        vals, _ = _bessel_i_vec(n, z)
         out = vals / a
     elif rel.kind is Kind.RELATIVISTIC:
         t_c = complex(t)

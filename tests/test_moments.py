@@ -83,6 +83,7 @@ def test_lattice_closed_form_absent_fields():
         (REL, 2.0, 1.0),
         (MASSLESS, 0.5, 0.25),
         (MASSLESS, 2.0, -0.5),
+        (LATTICE, 30.0, 0.0),  # I_0, I_1 at 2 alpha/(m a^2) = 20, past the series
     ],
 )
 def test_closed_vs_quadrature(rel, alpha, beta_r):

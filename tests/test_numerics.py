@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -239,7 +240,9 @@ class TestBesselI:
         z = 1.7 - 0.4j
         assert bessel_i_integer(-3, z).value == bessel_i_integer(3, z).value
 
-    @pytest.mark.parametrize("n,z", [(0, 0.5), (1, 3.0), (2, 7.5), (0, 2 + 3j), (4, 30.0), (1, 10 - 5j)])
+    @pytest.mark.parametrize(
+        "n,z", [(0, 0.5), (1, 3.0), (2, 7.5), (0, 2 + 3j), (4, 30.0), (1, 10 - 5j), (3, -12 + 1j), (4, -30.0)]
+    )
     def test_against_scipy(self, n, z):
         ref = special.iv(n, z)
         got = bessel_i_integer(n, z).value
@@ -279,9 +282,34 @@ class TestBesselI:
             for phase in (0.0, 0.5, 1.1):
                 z = r * complex(math.cos(phase), math.sin(phase))
                 for n in (0, 1, 2, 5):
-                    series = complex(np.ravel(numerics._i_series(n, z)[0])[0])
-                    quad = complex(np.ravel(numerics._i_quadrature(n, z)[0])[0])
-                    assert abs(series - quad) <= 1e-9 * abs(series)
+                    series = complex(numerics._i_series(n, z)[0][0])
+                    miller = complex(numerics._i_recurrence(n, z)[0])
+                    assert abs(series - miller) <= 1e-9 * abs(series)
+
+    def test_high_order_beyond_series_radius(self):
+        # A periodic rule on cos(129 t) e^{9 cos t} aliased to 1030.9.
+        got = bessel_i_integer(129, 9.0)
+        assert got.value == pytest.approx(4.3179144480775e-134, rel=1e-12)
+
+    @pytest.mark.parametrize("z", [3 + 9.5j, 8 + 9.5j, 20 + 40j, 4 + 200j])
+    def test_orders_beyond_series_radius(self, z):
+        scale = math.exp(z.real)
+        for n in range(201):
+            got = bessel_i_integer(n, z)
+            err = abs(got.value - special.iv(n, z))
+            assert err <= 1e-13 * scale, n
+            assert err <= got.abs_error, n
+
+    def test_recurrence_length_capped(self):
+        # 2|z| steps past the largest order: refused before any allocation.
+        with pytest.raises(NonConvergence):
+            bessel_i_integer(0, 1e7j)
+
+    def test_high_order_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            ref = float(mpmath.besseli(129, 9))
+        assert bessel_i_integer(129, 9.0).value == pytest.approx(ref, rel=1e-12)
 
 
 class TestBesselK:
@@ -445,8 +473,9 @@ class TestBesselJY:
 
 
 class TestFixedBesselRule:
-    """K_0/K_1 and J/Y beyond the series radius are one fixed sum: no
-    adaptive or periodic rule runs inside a Bessel evaluation."""
+    """K_0/K_1 and J/Y beyond the series radius are one fixed sum and I_n one
+    recurrence: no adaptive or periodic rule runs inside a Bessel
+    evaluation."""
 
     def test_no_adaptive_rule_inside_bessel(self, monkeypatch):
         from wavekit.propagation import evolve_closed
@@ -462,6 +491,7 @@ class TestFixedBesselRule:
             return k01_quadrature(z)
 
         pk = make_minimal(DispersionRelation.relativistic(1.0), 1.0, 0.5, 0.0)
+        lattice = make_minimal(DispersionRelation.lattice(1.0, 1.0), 3.0, 0.0, 0.0)
         monkeypatch.setattr(numerics, "_adaptive", forbidden)
         monkeypatch.setattr(numerics, "_periodic", forbidden)
         monkeypatch.setattr(numerics, "_k01_quadrature", counting)
@@ -472,6 +502,18 @@ class TestFixedBesselRule:
         row = evolve_closed(pk, np.linspace(-15.0, 15.0, 301), 10.0)
         assert np.all(np.isfinite(row))
         assert len(calls) == 3
+        i5 = bessel_i_integer(5, 30.0 + 5.0j)
+        assert i5.value == pytest.approx(special.iv(5, 30.0 + 5.0j), rel=1e-13)
+        # A 401-site lattice row at |3 + 9.5i| > 8: one recurrence for all
+        # its orders, where a periodic rule held every order at every node.
+        tracemalloc.start()
+        try:
+            row = evolve_closed(lattice, np.arange(-200.0, 201.0), 9.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.isfinite(row))
+        assert peak < 1 << 20
 
     def test_rel_closed_form_runs_one_adaptive_rule(self, monkeypatch):
         from wavekit import moments

@@ -42,6 +42,10 @@ class TestGreensClosed:
     def test_lattice_identity_at_origin(self):
         assert greens_closed(LATTICE, 0.0, 0.0) == pytest.approx(1.0)
 
+    def test_lattice_empty_row(self):
+        for t in (1.0, 30.0):  # |t|/(m a^2) on each side of the series radius
+            assert greens_closed(LATTICE, np.array([]), t).shape == (0,)
+
     def test_lattice_non_integer_site(self):
         with pytest.raises(NonIntegerSite):
             greens_closed(LATTICE, 0.5, 1.0)
@@ -116,6 +120,15 @@ def test_lattice_oracle_at_far_sites(t, x):
     pk = make_minimal(DispersionRelation.lattice(2.129999, 1.0), 1.270367, 0.0, 0.0)
     oracle = evolve_quadrature(pk, x, t)
     assert abs(oracle.value - evolve_closed(pk, x, t)) <= 1e-12
+
+
+@pytest.mark.parametrize("x", [0.0, 30.0, 60.0])
+def test_lattice_oracle_past_series_radius(x):
+    # |alpha + i t|/(m a^2) = |3 + 9.5i| > 8: the closed form leaves the
+    # power series. A periodic rule on I_60 aliased to 0.25 off here.
+    pk = make_minimal(DispersionRelation.lattice(1.0, 1.0), 3.0, 0.0, 0.0)
+    oracle = evolve_quadrature(pk, x, 9.5)
+    assert abs(oracle.value - evolve_closed(pk, x, 9.5)) <= 1e-12
 
 
 def test_oracle_integrand_calls(monkeypatch):
