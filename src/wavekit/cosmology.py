@@ -6,7 +6,9 @@ universe grows. Packets are specified in physical momentum at t = 0 and
 carried forward through the conserved p_rho = p R(0). A comoving trace is
 therefore one momentum quadrature over the t = 0 packet: its weights carry
 the per-momentum time integral W(t, p) for every output time, taken in one
-cumulative pass over the sorted times.
+cumulative pass over the sorted times: composite Simpson on every interval
+between them, doubled until it settles, each doubling evaluating only the
+new midpoints.
 """
 
 from __future__ import annotations
@@ -165,17 +167,19 @@ def _time_integral_grid(func, t_values, tol=_TIME_TOL):
 
     ``func`` maps an array of times (N,) to values (N, k). Every interval
     between consecutive output times (the first starts at 0) gets n
-    composite-Simpson panels, all nodes are evaluated in one call, and the
-    per-interval sums are accumulated; n doubles until the sup-norm
-    increment falls below tolerance. Returns shape (len(t_values), k).
+    composite-Simpson panels and the per-interval sums are accumulated; n
+    doubles until the sup-norm increment falls below tolerance. The nodes
+    of n panels are the even nodes of 2n, so each doubling evaluates only
+    the new midpoints, in one call, and every node is evaluated once.
+    Returns shape (len(t_values), k).
     """
     edges = np.concatenate(([0.0], t_values))
     widths = np.diff(edges)
     n = 16
+    nodes = edges[:-1, np.newaxis] + widths[:, np.newaxis] * np.linspace(0.0, 1.0, n + 1)
+    vals = func(nodes.ravel()).reshape(nodes.shape + (-1,))
     prev = None
-    while n <= (1 << 18):
-        nodes = edges[:-1, np.newaxis] + widths[:, np.newaxis] * np.linspace(0.0, 1.0, n + 1)
-        vals = func(nodes.ravel()).reshape(nodes.shape + (-1,))
+    while True:
         simpson = np.ones(n + 1)
         simpson[1:-1:2] = 4.0
         simpson[2:-1:2] = 2.0
@@ -185,11 +189,25 @@ def _time_integral_grid(func, t_values, tol=_TIME_TOL):
             raise NonConvergence("time integrand is not finite")
         if prev is not None:
             scale = max(1.0, float(np.max(np.abs(cum))))
-            if float(np.max(np.abs(cum - prev))) <= tol * scale:
+            increment = float(np.max(np.abs(cum - prev)))
+            if increment <= tol * scale:
                 return cum
         prev = cum
+        if n == 1 << 18:
+            break
         n *= 2
-    raise NonConvergence("time integration did not converge")
+        # n is a power of two, so (2j+1)/n is exact and the kept nodes are
+        # the floats a fresh grid of n panels would hold.
+        mids = edges[:-1, np.newaxis] + widths[:, np.newaxis] * (np.arange(1, n, 2) / n)
+        fresh = func(mids.ravel()).reshape(mids.shape + (-1,))
+        grown = np.empty((len(widths), n + 1, vals.shape[-1]), dtype=vals.dtype)
+        grown[:, ::2] = vals
+        grown[:, 1::2] = fresh
+        vals = grown
+    raise NonConvergence(
+        "time integration did not converge: at n = %d panels per interval the worst "
+        "increment %.3e exceeds tol*scale = %.3e" % (n, increment, tol * scale)
+    )
 
 
 def comoving_trace(packet, model, t_values, spec=DEFAULT_SPEC):

@@ -419,17 +419,51 @@ def _i_series(n, z):
     return total.reshape(shape), err.reshape(shape)
 
 
+# Below half the least subnormal a double rounds to 0.
+_LOG_UNDERFLOW = -1075.0 * math.log(2.0)
+
+
+def _i_underflow_order(z, top):
+    """The first order k <= ``top`` from which on I_k(z)/e^{Re z} rounds to
+    0 in double, or None: the series bound |I_k(z)| <= I_k(|z|) <= (|z|/2)^k
+    / k! e^{|z|^2/(4(k+1))} decreases in k beyond |z|/2, so it is bisected
+    there."""
+    r = abs(z)
+    lo = int(r / 2.0) + 1
+    if top < lo:
+        return None
+    log_half = math.log(r / 2.0)
+
+    def underflows(k):
+        return k * log_half - math.lgamma(k + 1.0) + r * r / (4.0 * (k + 1.0)) - z.real < _LOG_UNDERFLOW
+
+    if not underflows(top):
+        return None
+    while lo < top:
+        mid = (lo + top) // 2
+        if underflows(mid):
+            top = mid
+        else:
+            lo = mid + 1
+    return top
+
+
 def _i_recurrence(n, z):
     """I_n(z) at orders ``n`` >= 0 (any shape) for one complex z: Miller's
-    backward recurrence (DLMF 3.6(iii)) from zero above max(n) + 2|z| + 60 on
-    the ratios I_k/I_{k-1} = 1/(2k/z + I_{k+1}/I_k), whose running products
-    are I_k/I_0; e^z = I_0 + 2 sum I_k (DLMF 10.35.5) gives I_0. Re z < 0
-    runs at -z, I_n(-z) = (-1)^n I_n(z), so that sum does not cancel. The
-    error is the rounding bound (steps + 4) eps (|I_0| + 2 sum |I_k|)."""
+    backward recurrence (DLMF 3.6(iii)) from zero above max(n) + 2|z| + 60
+    on the ratios I_k/I_{k-1} = 1/(2k/z + I_{k+1}/I_k), whose running
+    products are I_k/I_0; e^z = I_0 + 2 sum I_k (DLMF 10.35.5) gives I_0. A
+    row reaching the order where I_n/e^{Re z} underflows starts there
+    instead and is 0 above it. Re z < 0 runs at -z, I_n(-z) = (-1)^n I_n(z),
+    so that sum does not cancel. The error is the rounding bound (steps + 4)
+    eps (|I_0| + 2 sum |I_k|)."""
     if z.real < 0.0:
         value, err = _i_recurrence(n, -z)
         return np.where(n % 2 == 1, -value, value), err
-    start = int(np.max(n, initial=0) + 2.0 * abs(z)) + 60
+    top = int(np.max(n, initial=0))
+    start = _i_underflow_order(z, top)
+    if start is None:
+        start = int(top + 2.0 * abs(z)) + 60
     if start > 1 << 20:
         raise NonConvergence("I_n recurrence would take %d steps (> 2^20, 16 MB of ratios)" % start)
     ratios = np.ones(start + 1, dtype=complex)  # I_k / I_{k-1}, 1 at k = 0
@@ -439,7 +473,8 @@ def _i_recurrence(n, z):
     terms = np.cumprod(ratios)  # I_k / I_0
     i0 = np.exp(z) / (2.0 * terms.sum() - 1.0)
     bound = (start + 4) * np.finfo(float).eps * (2.0 * np.abs(terms).sum() - 1.0) * abs(i0)
-    return i0 * terms[n], np.full(np.shape(n), bound)
+    value = np.where(n > start, 0j, i0 * terms[np.minimum(n, start)])
+    return value, np.full(np.shape(n), bound)
 
 
 def _bessel_i_vec(n, z):

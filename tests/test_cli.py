@@ -10,15 +10,24 @@ import numpy as np
 import pytest
 
 
-def run_cli(*args, env_extra=None, cwd=None):
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def checkout_env(extra=None):
+    """The environment with this checkout's ``src/`` first on PYTHONPATH, so a
+    CLI subprocess imports the wavekit under test, installed or not."""
     env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    env.update(extra or {})
+    return env
+
+
+def run_cli(*args, env_extra=None, cwd=None):
     return subprocess.run(
         [sys.executable, "-m", "wavekit.cli", *args],
         capture_output=True,
         text=True,
-        env=env,
+        env=checkout_env(env_extra),
         cwd=cwd,
     )
 
@@ -362,7 +371,8 @@ def test_header_only_model_file(tmp_path):
 
 def test_python_m_wavekit_selfcheck():
     cp = subprocess.run(
-        [sys.executable, "-m", "wavekit", "selfcheck"], capture_output=True, text=True
+        [sys.executable, "-m", "wavekit", "selfcheck"], capture_output=True, text=True,
+        env=checkout_env(),
     )
     assert cp.returncode == 0, cp.stderr
     assert cp.stdout.rstrip().endswith("selfcheck: all checks passed")

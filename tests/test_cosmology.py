@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from wavekit.cosmology import (
     mean_velocity,
 )
 from wavekit.dispersion import DispersionRelation
-from wavekit.errors import InvalidInput, KindMismatch, OverflowSignal
+from wavekit.errors import InvalidInput, KindMismatch, NonConvergence, OverflowSignal
 from wavekit.moments import moments_quadrature, spreading_width_sq
 from wavekit.packet import expectation_many, make_minimal
 
@@ -279,6 +280,89 @@ class TestComovingTrace:
             comoving_trace(pk, EXPANDING, np.array([0.0, bad]))
         with pytest.raises(InvalidInput):
             comoving_trace(pk, EXPANDING, np.array([bad, 1.0]))
+
+
+def _reference_time_integral_grid(func, t_values, tol=cosmology._TIME_TOL):
+    """The time integral that evaluates every node afresh at each doubling."""
+    edges = np.concatenate(([0.0], t_values))
+    widths = np.diff(edges)
+    n = 16
+    prev = None
+    while n <= (1 << 18):
+        nodes = edges[:-1, np.newaxis] + widths[:, np.newaxis] * np.linspace(0.0, 1.0, n + 1)
+        vals = func(nodes.ravel()).reshape(nodes.shape + (-1,))
+        simpson = np.ones(n + 1)
+        simpson[1:-1:2] = 4.0
+        simpson[2:-1:2] = 2.0
+        panels = np.einsum("j,ijk->ik", simpson, vals) * (widths / (3.0 * n))[:, np.newaxis]
+        cum = np.cumsum(panels, axis=0)
+        if prev is not None:
+            scale = max(1.0, float(np.max(np.abs(cum))))
+            if float(np.max(np.abs(cum - prev))) <= tol * scale:
+                return cum
+        prev = cum
+        n *= 2
+    raise AssertionError("reference time integral did not converge")
+
+
+_KNOTS = (0.0, 0.7, 1.3, 2.2, 3.1, 4.4, 5.0)
+_MODELS = {
+    "powerlaw": (EXPANDING, np.linspace(0.0, 5.0, 6)),
+    "exp": (ExponentialScale(hubble=0.3), np.array([0.0, 0.4, 2.0, 5.0])),
+    "tabulated": (TabulatedScale(_KNOTS, tuple(1.0 + t**1.3 for t in _KNOTS)),
+                  np.array([0.0, 1.0, 1.0, 5.0])),
+}
+
+
+class TestTimeIntegralGrid:
+    def test_each_node_evaluated_once(self):
+        # Three intervals with exact edges: the kept levels plus the new
+        # midpoints are the final grid, each node evaluated in one call; only
+        # an output time between two intervals is a node of both.
+        t_values = np.array([0.5, 1.25, 3.0])
+        seen = []
+
+        def func(tp):
+            seen.append(tp.copy())
+            return np.column_stack([np.exp(np.sin(3.0 * tp)), np.cos(tp)])
+
+        cosmology._time_integral_grid(func, t_values)
+        calls = len(seen)
+        n_final = 16 * 2 ** (calls - 1)
+        times = np.concatenate(seen)
+        assert calls >= 2
+        assert len(times) == len(t_values) * (n_final + 1)
+        counts = Counter(times.tolist())
+        assert {t for t, c in counts.items() if c > 1} == {0.5, 1.25}
+        assert max(counts.values()) == 2
+        edges = np.concatenate(([0.0], t_values))
+        fractions = np.linspace(0.0, 1.0, n_final + 1)
+        grid = edges[:-1, np.newaxis] + np.diff(edges)[:, np.newaxis] * fractions
+        assert np.array_equal(np.unique(times), np.unique(grid))
+
+    @pytest.mark.parametrize("model", sorted(_MODELS))
+    @pytest.mark.parametrize("rel", [NONREL, REL, MASSLESS], ids=["nonrel", "rel", "massless"])
+    def test_drift_integrals_match_reevaluating_grid(self, rel, model, monkeypatch):
+        # Same nodes, same sums in the same order: every W(t, p) is the float
+        # the re-evaluating loop gives.
+        integrate = cosmology._time_integral_grid
+        compared = []
+
+        def both(func, t_values):
+            got = integrate(func, t_values)
+            compared.append(np.array_equal(got, _reference_time_integral_grid(func, t_values)))
+            return got
+
+        monkeypatch.setattr(cosmology, "_time_integral_grid", both)
+        scale_model, ts = _MODELS[model]
+        comoving_trace(make_minimal(rel, 1.0, 0.5, 0.3), scale_model, ts)
+        assert compared and all(compared)
+
+    def test_nonconvergence_names_last_level(self):
+        # 2^18 panels on [0, 1] do not resolve a period of 3e-6.
+        with pytest.raises(NonConvergence, match=r"at n = 262144 panels per interval the worst "
+                           r"increment [1-9][^ ]* exceeds tol\*scale = 1\.000e-09"):
+            cosmology._time_integral_grid(lambda tp: np.cos(2e6 * tp)[:, np.newaxis], np.array([1.0]))
 
 
 @pytest.mark.parametrize("hubble", [-200.0, 200.0])

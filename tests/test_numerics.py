@@ -291,6 +291,15 @@ class TestBesselI:
         got = bessel_i_integer(129, 9.0)
         assert got.value == pytest.approx(4.3179144480775e-134, rel=1e-12)
 
+    @pytest.mark.parametrize("z", [3 + 9.5j, -20 + 5j, 40j])
+    def test_orders_past_underflow(self, z):
+        # Order 2e6 would take 2e6 recurrence steps; I_n/e^{|Re z|} rounds to
+        # 0 long before, and the orders below keep their accuracy.
+        n = np.append(np.arange(0, 600, 7), 2_000_000)
+        got, _ = numerics._i_recurrence(n, z)
+        assert got[-1] == 0.0
+        assert np.all(np.abs(got[:-1] - special.iv(n[:-1], z)) <= 1e-13 * math.exp(abs(z.real)))
+
     @pytest.mark.parametrize("z", [3 + 9.5j, 8 + 9.5j, 20 + 40j, 4 + 200j])
     def test_orders_beyond_series_radius(self, z):
         scale = math.exp(z.real)

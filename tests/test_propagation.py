@@ -131,6 +131,16 @@ def test_lattice_oracle_past_series_radius(x):
     assert abs(oracle.value - evolve_closed(pk, x, 9.5)) <= 1e-12
 
 
+def test_lattice_row_reaching_underflow():
+    # I_n(3 + 9.5i) at n = 2e6 is 0 in double precision: the row's recurrence
+    # starts where I_n/e^{Re z} underflows, not 2e6 steps up, and the x = 0
+    # site keeps the value it has in a row of its own.
+    lat = DispersionRelation.lattice(1.0, 1.0)
+    row = greens_closed(lat, np.array([0.0, 2e6]), 9.5 - 3j)
+    assert row[1] == 0.0
+    assert row[0] == greens_closed(lat, np.array([0.0]), 9.5 - 3j)[0]
+
+
 def test_oracle_integrand_calls(monkeypatch):
     # The first panel alone, the other initial panels together, then one
     # call per round: 49 panels (1029 points) in a handful of calls.
