@@ -19,6 +19,14 @@ from .errors import CurvatureSingular, DomainError, InvalidInput
 __all__ = ["Kind", "DispersionRelation", "MomentumDomain"]
 
 
+def _rel_energy(p, m):
+    """sqrt(p^2 + m^2). ``np.hypot`` rounds differently, so it runs only in
+    calls where p*p + m*m would overflow."""
+    if np.max(np.abs(p), initial=m) > 1e150:
+        return np.hypot(p, m)
+    return np.sqrt(p * p + m * m)
+
+
 class Kind(enum.Enum):
     NON_RELATIVISTIC = "nonrel"
     LATTICE = "lattice"
@@ -102,7 +110,7 @@ class DispersionRelation:
             a = self.lattice_spacing
             return -np.cos(p * a) / (m * a * a)
         if self.kind is Kind.RELATIVISTIC:
-            return np.sqrt(p * p + m * m)
+            return _rel_energy(p, m)
         return np.abs(p)
 
     def velocity(self, p):
@@ -116,7 +124,7 @@ class DispersionRelation:
             a = self.lattice_spacing
             return np.sin(p * a) / (m * a)
         if self.kind is Kind.RELATIVISTIC:
-            return p / np.sqrt(p * p + m * m)
+            return p / _rel_energy(p, m)
         return np.sign(p)
 
     def curvature(self, p):
@@ -133,7 +141,7 @@ class DispersionRelation:
         if self.kind is Kind.LATTICE:
             return np.cos(p * self.lattice_spacing) / m
         if self.kind is Kind.RELATIVISTIC:
-            e = np.sqrt(p * p + m * m)
+            e = _rel_energy(p, m)
             return m * m / (e * e * e)
         if np.any(p == 0.0):
             raise CurvatureSingular(

@@ -16,10 +16,11 @@ the level set of its log-density at the tail budget (``density_window``).
 Bessel strategy: power series for small argument (|z| <= 8). Beyond that,
 K_0/K_1 are one fixed 19-node trapezoid sum on the steepest-descent path of
 their integral representation (``_k01_quadrature``), uniform in arg z up to
-the imaginary axis, and J/Y follow from K_v(-ix); I_n, at all orders asked
-for, is one Miller recurrence normalised by e^z (``_i_recurrence``). No
-Bessel evaluation runs an adaptive or doubling rule. The regimes overlap on
-|z| in [6, 8], where the test suite and ``wavekit selfcheck`` compare them.
+the imaginary axis. J/Y are K_v(-ix) in both regimes (DLMF 10.27.8). I_n,
+at all orders asked for, is one Miller recurrence normalised by e^z
+(``_i_recurrence``). No Bessel evaluation runs an adaptive or doubling
+rule. The regimes overlap on |z| in [6, 8], where the test suite and
+``wavekit selfcheck`` compare them.
 """
 
 from __future__ import annotations
@@ -479,10 +480,12 @@ def _i_recurrence(n, z):
 
 def _bessel_i_vec(n, z):
     """(I_n(z), abs_error) at integer orders ``n`` (any shape) for one complex
-    z: the series for |z| <= 8, else (or for no orders) the recurrence."""
+    z: the series for |z| <= 8, else the recurrence."""
     n = np.abs(np.asarray(n, dtype=int))  # I_{-n} = I_n
     z = complex(z)
-    if abs(z) > _SERIES_RADIUS or n.size == 0:
+    if n.size == 0:
+        return np.zeros(n.shape, dtype=complex), np.zeros(n.shape)
+    if abs(z) > _SERIES_RADIUS:
         return _i_recurrence(n, z)
     value, err = _i_series(n, z)
     return value.reshape(n.shape), err.reshape(n.shape)
@@ -505,16 +508,17 @@ def bessel_i_integer(n, z):
 
 
 # ---------------------------------------------------------------------------
-# Modified Bessel functions K_0, K_1 (complex argument, Re z > 0)
+# Modified Bessel functions K_0, K_1 (complex argument, Re z >= 0)
 # ---------------------------------------------------------------------------
 
 
 def _k01_series(z):
-    """Power series for K_0, K_1 at |z| <= 8, Re z > 0.
+    """Power series for K_0, K_1 at |z| <= 8, Re z >= 0.
 
     Uses the fused form K_0 = sum_k c_k (H_k - gamma - log(z/2)) with
     c_k = (z^2/4)^k / (k!)^2 (and its K_1 analog), which avoids the
-    large-term cancellation of evaluating the log term separately.
+    large-term cancellation of evaluating the log term separately. At
+    z = -ix its real and imaginary parts are the J/Y series.
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     log_half = np.log(z / 2.0)
@@ -584,10 +588,11 @@ def _k01_quadrature(z):
 
 
 def _bessel_k01_vec(z):
-    """Vectorized (K_0, K_1) over complex arguments with Re z > 0."""
+    """Vectorized (K_0, K_1) over complex arguments with Re z >= 0, z != 0
+    (the imaginary axis carries J/Y)."""
     z = np.atleast_1d(np.asarray(z, dtype=complex))
-    if np.any(z.real <= 0.0):
-        raise InvalidInput("bessel_k01 requires Re z > 0")
+    if np.any(z.real < 0.0) or np.any(z == 0.0):
+        raise InvalidInput("K_0/K_1 require Re z >= 0 and z != 0")
     k0 = np.zeros(z.shape, dtype=complex)
     k1 = np.zeros(z.shape, dtype=complex)
     e0 = np.zeros(z.shape, dtype=float)
@@ -619,62 +624,14 @@ def bessel_k01(z):
 # ---------------------------------------------------------------------------
 
 
-def _jy_series(x):
-    """Series evaluation of (J_0, Y_0, J_1, Y_1) for 0 < x <= 8."""
+def _bessel_jy_vec(x):
+    """Vectorized (J_0, Y_0, J_1, Y_1) for real x > 0 from K_v on the
+    imaginary axis, in both regimes: K_0(-ix) = (i pi/2)(J_0 + i Y_0),
+    K_1(-ix) = -(pi/2)(J_1 + i Y_1) (DLMF 10.27.8)."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    log_half = np.log(x / 2.0)
-    w = x * x / 4.0
-
-    c = np.ones_like(x)  # (x^2/4)^k / (k!)^2, alternating applied via sign
-    d = np.ones_like(x)  # (x^2/4)^k / (k! (k+1)!)
-    sign = 1.0
-    h = 0.0
-    j0 = c.copy()
-    y0s = c * (log_half + _EULER_GAMMA - h)
-    j1s = d.copy()
-    y1s = d * (log_half + _EULER_GAMMA - 0.5 * (h + h + 1.0))
-    for k in range(1, _SERIES_MAX_TERMS):
-        c = c * w / (k * k)
-        d = d * w / (k * (k + 1))
-        sign = -sign
-        h_next = h + 1.0 / k
-        j0 += sign * c
-        y0s += sign * c * (log_half + _EULER_GAMMA - h_next)
-        j1s += sign * d
-        y1s += sign * d * (log_half + _EULER_GAMMA - 0.5 * (h_next + h_next + 1.0 / (k + 1)))
-        h = h_next
-        if k >= 4 and np.all(np.maximum(c, d) <= 1e-18):
-            break
-    j1 = 0.5 * x * j1s
-    y0 = (2.0 / np.pi) * y0s
-    y1 = (2.0 / np.pi) * (-1.0 / x + 0.5 * x * y1s)
-    return j0, y0, j1, y1
-
-
-def _jy_quadrature(x):
-    """(J_0, Y_0, J_1, Y_1) for x > 8 from K_v on the imaginary axis:
-    K_0(-ix) = (i pi/2)(J_0 + i Y_0), K_1(-ix) = -(pi/2)(J_1 + i Y_1)
-    (DLMF 10.27.8)."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    k0, k1, _, _ = _k01_quadrature(-1j * x)
+    k0, k1, _, _ = _bessel_k01_vec(-1j * x)
     c = 2.0 / np.pi
     return c * k0.imag, -c * k0.real, -c * k1.real, -c * k1.imag
-
-
-def _bessel_jy_vec(x):
-    """Vectorized (J_0, Y_0, J_1, Y_1) for real x > 0."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(x <= 0.0):
-        raise InvalidInput("bessel_j0_y0 requires x > 0")
-    out = [np.zeros(x.shape) for _ in range(4)]
-    small = x <= _SERIES_RADIUS
-    if np.any(small):
-        for slot, arr in zip(out, _jy_series(x[small])):
-            slot[small] = arr
-    if np.any(~small):
-        for slot, arr in zip(out, _jy_quadrature(x[~small])):
-            slot[~small] = arr
-    return tuple(out)
 
 
 def bessel_j0_y0(x):

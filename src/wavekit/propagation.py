@@ -2,11 +2,13 @@
 
 A minimal packet evolves as the analytic continuation of the Green's
 function, Phi(x, t) = A G(x - i beta, t - i alpha). The relativistic
-Green's function is evaluated region by region for real arguments:
-(1/2) d/dt [J_0 - i N_0](m sqrt(t^2 - x^2)) inside the light cone and the
-K_1 form outside; for complex arguments the K_1 form applies everywhere.
-All square roots take the principal branch (Re >= 0), which keeps the K
-argument in the right half-plane whenever Im t < 0 and |beta_r| < alpha.
+Green's function is one formula, G = i m t K_1(m w)/(pi w) with
+w = sqrt(x^2 - t^2), for real and complex arguments alike. The square root
+takes the principal branch (Re >= 0), which keeps the K argument in the
+right half-plane whenever Im t < 0 and |beta_r| < alpha. Inside the real
+light cone the t - i0 side puts w on the imaginary axis, where K_1 is the
+J_1/N_1 form (DLMF 10.27.8), so one K_1 evaluation covers both regions and
+both signs of t.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from .numerics import (
     DEFAULT_SPEC,
     ComplexAmplitude,
     _bessel_i_vec,
-    _bessel_jy_vec,
     _bessel_k01_vec,
     _line_integral,
     _periodic,
@@ -71,43 +72,35 @@ def _site_indices(rel, x):
     return n_round.astype(int)
 
 
-def _greens_relativistic_complex(mass, x, t):
-    """K_1 form for complex arguments, valid off the complexified cone."""
-    x = np.asarray(x, dtype=complex)
-    w = np.sqrt(x * x - t * t)
-    if np.any(w == 0.0):
-        raise LightConeSingular("argument on the complexified light cone")
-    z = mass * w
-    if np.any(z.real <= 0.0):
-        raise InvalidInput(
-            "continuation requires Re(m sqrt(x^2 - t^2)) > 0; "
-            "evolve with Im t < 0 and |beta_r| < alpha"
-        )
-    _, k1, _, _ = _bessel_k01_vec(z)
-    return 1j * mass * t * k1 / (np.pi * w)
-
-
-def _greens_relativistic_real(mass, x, t):
-    """Region-split evaluation for real x (array) and real t (scalar)."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.empty(x.shape, dtype=complex)
-    diff = x * x - t * t
+def _require_off_cone(x, t):
+    """Reject real points within the relative band around |x| = |t|."""
     scale = np.maximum(x * x, t * t)
-    on_cone = np.abs(diff) < _CONE_BAND * np.maximum(scale, 1e-300)
-    if np.any(on_cone):
+    if np.any(np.abs(x * x - t * t) < _CONE_BAND * np.maximum(scale, 1e-300)):
         raise LightConeSingular("real evaluation point within the light-cone band")
-    outside = diff > 0.0
-    if np.any(outside):
-        w = np.sqrt(diff[outside])
-        _, k1, _, _ = _bessel_k01_vec((mass * w).astype(complex))
-        out[outside] = 1j * mass * t * k1 / (np.pi * w)
-    inside = ~outside
-    if np.any(inside):
-        s = np.sqrt(-diff[inside])
-        _, _, j1, y1 = _bessel_jy_vec(mass * s)
-        # (1/2) d/dt [J_0 - i N_0](m s) = -(m t / 2 s)(J_1 - i N_1)(m s)
-        out[inside] = -(mass * t / (2.0 * s)) * (j1 - 1j * y1)
-    return out
+
+
+def _greens_relativistic(mass, x, t):
+    """G = i m t K_1(m w)/(pi w), w = sqrt(x^2 - t^2) on the principal branch.
+    For real arguments the t - i0 side puts w = +-i sqrt(t^2 - x^2), with the
+    sign of t, inside the cone, where K_1 is the J_1/N_1 form."""
+    x = np.asarray(x, dtype=complex)
+    t = complex(t)
+    if t.imag == 0.0 and not np.any(x.imag):
+        x, t = x.real, t.real
+        _require_off_cone(x, t)
+        diff = x * x - t * t
+        w = np.where(diff > 0.0, 1.0, math.copysign(1.0, t) * 1j) * np.sqrt(np.abs(diff))
+    else:
+        w = np.sqrt(x * x - t * t)
+        if np.any(w == 0.0):
+            raise LightConeSingular("argument on the complexified light cone")
+        if np.any(w.real <= 0.0):
+            raise InvalidInput(
+                "continuation requires Re(m sqrt(x^2 - t^2)) > 0; "
+                "evolve with Im t < 0 and |beta_r| < alpha"
+            )
+    _, k1, _, _ = _bessel_k01_vec(mass * w)
+    return 1j * mass * t * k1 / (np.pi * w)
 
 
 def _require_finite(x, t):
@@ -141,25 +134,13 @@ def greens_closed(rel, x, t):
         vals, _ = _bessel_i_vec(n, z)
         out = vals / a
     elif rel.kind is Kind.RELATIVISTIC:
-        t_c = complex(t)
-        x_arr = np.asarray(x)
-        is_complex = t_c.imag != 0.0 or np.iscomplexobj(x_arr) and np.any(x_arr.imag != 0.0)
-        if is_complex:
-            out = _greens_relativistic_complex(m, x_arr, t_c)
-        elif t_c.real >= 0.0:
-            out = _greens_relativistic_real(m, x_arr, t_c.real)
-        else:
-            out = np.conj(_greens_relativistic_real(m, x_arr, -t_c.real))
+        out = _greens_relativistic(m, x, t)
     else:  # massless
         t_c = complex(t)
         x_c = np.asarray(x, dtype=complex)
-        denom = x_c * x_c - t_c * t_c
-        real_args = t_c.imag == 0.0 and np.all(x_c.imag == 0.0)
-        if real_args:
-            scale = np.maximum(np.abs(x_c) ** 2, abs(t_c) ** 2)
-            if np.any(np.abs(denom) < _CONE_BAND * np.maximum(scale, 1e-300)):
-                raise LightConeSingular("massless Green's function on the light cone")
-        out = (1j / math.pi) * t_c / denom
+        if t_c.imag == 0.0 and not np.any(x_c.imag):
+            _require_off_cone(x_c.real, t_c.real)
+        out = (1j / math.pi) * t_c / (x_c * x_c - t_c * t_c)
 
     out = np.asarray(out, dtype=complex)
     return complex(out.reshape(-1)[0]) if scalar else out

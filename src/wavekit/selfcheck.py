@@ -473,20 +473,17 @@ def check_special_functions(spec=DEFAULT_SPEC):
     worst_overlap = 0.0
     orders = np.array([0, 1, 2, 5])
     for r in (6.0, 7.0, 8.0):
-        for phase in (0.0, 0.4, 0.9):
-            z = r * complex(math.cos(phase), math.sin(phase))
+        zs = [r * complex(math.cos(phase), math.sin(phase)) for phase in (0.0, 0.4, 0.9)]
+        for z in zs:
             a = numerics._i_series(orders, z)[0]
             b = numerics._i_recurrence(orders, z)[0]
             worst_overlap = max(worst_overlap, np.max(np.abs(a - b) / np.abs(a)))
+        # K at z = -ir carries J/Y (DLMF 10.27.8): their overlap too.
+        for z in zs + [-1j * r]:
             s0, s1, _, _ = numerics._k01_series(np.array([z]))
             q0, q1, _, _ = numerics._k01_quadrature(np.array([z]))
             worst_overlap = max(worst_overlap, abs(s0[0] - q0[0]) / abs(s0[0]))
             worst_overlap = max(worst_overlap, abs(s1[0] - q1[0]) / abs(s1[0]))
-        sj = numerics._jy_series(np.array([r]))
-        qj = numerics._jy_quadrature(np.array([r]))
-        scale = math.sqrt(2.0 / (math.pi * r))
-        for a, b in zip(sj, qj):
-            worst_overlap = max(worst_overlap, abs(a[0] - b[0]) / scale)
     if worst_overlap > 1e-9:
         failures.append(f"regime overlap {worst_overlap:.2e}")
 

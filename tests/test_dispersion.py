@@ -1,6 +1,7 @@
 """Dispersion relation triples, domains, and derivative consistency."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -87,6 +88,15 @@ def test_relativistic_bounds(p):
     rel = DispersionRelation.relativistic(1.3)
     assert rel.energy(p) >= rel.mass
     assert abs(rel.velocity(p)) < 1.0
+
+
+def test_relativistic_far_momenta():
+    # p*p overflows past |p| ~ 1e154; E and v must not.
+    rel = DispersionRelation.relativistic(1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(rel.velocity(np.array([1e200, -1e200])), [1.0, -1.0])
+        assert rel.energy(1e200) == 1e200
 
 
 def test_lattice_curvature_identity():

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
 from wavekit import numerics
 from wavekit.analysis import evolved_moments, ridge_slope
@@ -43,7 +44,7 @@ class TestGreensClosed:
         assert greens_closed(LATTICE, 0.0, 0.0) == pytest.approx(1.0)
 
     def test_lattice_empty_row(self):
-        for t in (1.0, 30.0):  # |t|/(m a^2) on each side of the series radius
+        for t in (0.0, 1.0, 30.0):  # z = 0, and |t|/(m a^2) on each side of the series radius
             assert greens_closed(LATTICE, np.array([]), t).shape == (0,)
 
     def test_lattice_non_integer_site(self):
@@ -76,10 +77,26 @@ class TestGreensClosed:
             assert abs(inside - continued) <= 1e-5 * abs(inside)
 
     def test_negative_time_conjugation(self):
-        x = 3.7
-        assert greens_closed(REL, x, -1.5) == pytest.approx(
-            greens_closed(REL, x, 1.5).conjugate()
-        )
+        # t - i0 puts w on the side of sign(t) inside the cone: a row that
+        # straddles it, x of both signs, is conjugated bit for bit.
+        x = np.linspace(-12.0, 12.0, 199)
+        for t in (1.5, 9.0):
+            assert np.array_equal(greens_closed(REL, x, -t), np.conj(greens_closed(REL, x, t)))
+
+    @pytest.mark.parametrize("t", [0.5, -0.5, 9.0, -9.0])
+    def test_row_against_scipy(self, t):
+        # One K_1 formula on both sides of the cone, with m sqrt|x^2 - t^2|
+        # on both sides of the series radius 8.
+        m = 2.0
+        x = np.linspace(-15.0, 15.0, 199)
+        g = greens_closed(DispersionRelation.relativistic(m), x, t)
+        diff = x * x - t * t
+        s = np.sqrt(np.abs(diff))
+        assert np.any(m * s < 8.0) and np.any(m * s > 8.0)
+        outside = 1j * m * t * special.k1(m * s) / (np.pi * s)
+        inside = -(m * abs(t) / (2.0 * s)) * (special.j1(m * s) - 1j * np.sign(t) * special.y1(m * s))
+        ref = np.where(diff > 0.0, outside, inside)
+        assert np.all(np.abs(g - ref) <= 1e-9 * np.abs(ref))
 
 
 @pytest.mark.parametrize(
