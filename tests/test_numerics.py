@@ -469,6 +469,18 @@ class TestBesselJY:
         for a, b in zip(got, refs):
             assert np.max(np.abs(a - b) / envelope) <= 1e-13
 
+    def test_regime_overlap(self, monkeypatch):
+        # Move the series radius so each regime of K on the imaginary axis
+        # yields J/Y at the same x; both must agree across the switch.
+        x = np.array([6.0, 7.0, 8.0])
+        monkeypatch.setattr(numerics, "_SERIES_RADIUS", math.inf)
+        series = numerics._bessel_jy_vec(x)
+        monkeypatch.setattr(numerics, "_SERIES_RADIUS", 0.0)
+        quad = numerics._bessel_jy_vec(x)
+        scale = np.sqrt(2.0 / (np.pi * x))
+        for a, b in zip(series, quad):
+            assert np.all(np.abs(a - b) <= 1e-9 * scale)
+
     def test_against_mpmath(self):
         mpmath = pytest.importorskip("mpmath")
         for x in (8.01, 13.0, 30.0, 999.0):
