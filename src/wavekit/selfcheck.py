@@ -414,7 +414,7 @@ def check_cosmology(spec=DEFAULT_SPEC):
 
 def check_special_functions(spec=DEFAULT_SPEC):
     """Criterion 9: Wronskian, derivative identities, conjugation symmetry,
-    and series/quadrature regime overlap."""
+    I_n against its integral representation, and the K series/sum overlap."""
     failures = []
 
     def fd(fun, z, h):
@@ -469,16 +469,25 @@ def check_special_functions(spec=DEFAULT_SPEC):
         if min(vals) <= 0.0:
             failures.append(f"positivity x={x}")
 
-    # Series/large-argument overlap on |z| in [6, 8].
-    worst_overlap = 0.0
+    # I_n by the recurrence against (1/pi) int_0^pi e^{z cos t} cos(nt) dt.
     orders = np.array([0, 1, 2, 5])
-    for r in (6.0, 7.0, 8.0):
+    for r in (0.5, 4.0, 8.0):
+        for phase in (0.0, 0.4, 0.9):
+            z = r * complex(math.cos(phase), math.sin(phase))
+            ref, _ = numerics._adaptive(
+                lambda t: np.exp(z * np.cos(t))[:, None] * np.cos(np.outer(t, orders)) / math.pi,
+                0.0, math.pi, spec, initial_panels=8,
+            )
+            got = numerics._i_recurrence(orders, z)[0]
+            err = np.max(np.abs(got - ref) / np.abs(ref))
+            if err > 1e-9:
+                failures.append(f"I_n vs integral z={z:.2f}: {err:.2e}")
+
+    # K series/sum overlap on |z| in [3, 5], around the switch at 4; at
+    # z = -ir it carries J/Y (DLMF 10.27.8).
+    worst_overlap = 0.0
+    for r in (3.0, 4.0, 5.0):
         zs = [r * complex(math.cos(phase), math.sin(phase)) for phase in (0.0, 0.4, 0.9)]
-        for z in zs:
-            a = numerics._i_series(orders, z)[0]
-            b = numerics._i_recurrence(orders, z)[0]
-            worst_overlap = max(worst_overlap, np.max(np.abs(a - b) / np.abs(a)))
-        # K at z = -ir carries J/Y (DLMF 10.27.8): their overlap too.
         for z in zs + [-1j * r]:
             s0, s1, _, _ = numerics._k01_series(np.array([z]))
             q0, q1, _, _ = numerics._k01_quadrature(np.array([z]))
