@@ -16,6 +16,10 @@ from .dispersion import Kind
 from .moments import moments_quadrature, spreading_width_sq, ehrenfest_position
 from .propagation import evolve_closed
 
+_CORE_POINTS = 4001  # Simpson points on the core window
+_MASSLESS_CORE_POINTS = 8001  # the massless core window is wider
+_TAIL_RATIO = 1.001  # step ratio of the massless tails' geometric mesh
+
 __all__ = [
     "simpson_or_trapezoid",
     "evolved_moments",
@@ -43,11 +47,11 @@ def _grid_stats(x, dens):
     return mass, mean, second
 
 
-def _geometric_tail(packet, t, x0, x_far, sign, ratio=1.001):
+def _geometric_tail(packet, t, x0, x_far, sign):
     """Moment contributions of a |Phi|^2 tail on [x0, x_far] (sign=+1)
     or [-x_far, -x0] (sign=-1), integrated on a geometric mesh."""
-    n = int(math.log(x_far / x0) / math.log(ratio)) + 2
-    xs = sign * x0 * ratio ** np.arange(n)
+    n = int(math.log(x_far / x0) / math.log(_TAIL_RATIO)) + 2
+    xs = sign * x0 * _TAIL_RATIO ** np.arange(n)
     dens = np.abs(evolve_closed(packet, xs, t)) ** 2
     order = np.argsort(xs)
     xs, dens = xs[order], dens[order]
@@ -57,7 +61,7 @@ def _geometric_tail(packet, t, x0, x_far, sign, ratio=1.001):
     return mass, mean, second
 
 
-def evolved_moments(packet, t, m0=None, core_points=4001):
+def evolved_moments(packet, t, m0=None):
     """(mass, <x>, <x^2>) of the evolved coordinate-space density.
 
     The mesh is sized from the predicted drift and spread; the spreading
@@ -85,9 +89,9 @@ def evolved_moments(packet, t, m0=None, core_points=4001):
         half = max(12.0 * width, abs(t) + 30.0 / rel.mass) + abs(center) + 5.0
     elif rel.kind is Kind.MASSLESS:
         half = abs(t) + 12.0 * width + 20.0
-        core_points = max(core_points, 8001)
     else:
         half = 12.0 * width + abs(center) + 5.0
+    core_points = _MASSLESS_CORE_POINTS if rel.kind is Kind.MASSLESS else _CORE_POINTS
     xs = np.linspace(center - half, center + half, core_points)
     dens = np.abs(evolve_closed(packet, xs, t)) ** 2
     mass, mean, second = _grid_stats(xs, dens)

@@ -209,7 +209,6 @@ def _cmd_evolve(cfg, spec):
         "tolerance": cfg["tol"],
         "method": method,
         "max_mass_deviation": _canon(max(abs(m - 1.0) for m in masses)),
-        "fallback_points": len(grid.fallback_points),
     }
     _write_output(("t", "x", "density"), _density_rows(grid), meta, cfg)
     return 0

@@ -126,14 +126,23 @@ DEFAULT_SPEC = QuadratureSpec()
 
 @dataclass(frozen=True)
 class ComplexAmplitude:
-    """A complex value together with an absolute-error estimate."""
+    """A complex value together with an absolute-error estimate: a Python
+    complex and float, or arrays of one shape for array input."""
 
     value: complex
     abs_error: float
 
     def __post_init__(self):
-        if not math.isfinite(self.abs_error) or self.abs_error < 0.0:
+        if not np.all(np.isfinite(self.abs_error) & (self.abs_error >= 0.0)):
             raise InvalidInput("abs_error must be finite and non-negative")
+
+
+def _amplitude(value, err):
+    """ComplexAmplitude of value and error arrays of one shape; 0-d ones
+    become a Python complex and float."""
+    if np.ndim(value) == 0:
+        return ComplexAmplitude(complex(value), float(err))
+    return ComplexAmplitude(value, err)
 
 
 def _eval_points(f, pts):
@@ -365,14 +374,12 @@ def integrate_periodic(f, period, spec=DEFAULT_SPEC):
 
     Equally spaced trapezoid sums are spectrally accurate for smooth
     periodic integrands; the point count doubles until the doubling
-    increment falls below tolerance.
+    increment falls below tolerance. An integrand whose values have shape S
+    gives ``value`` and ``abs_error`` of shape S.
     """
     if period <= 0.0 or not math.isfinite(period):
         raise InvalidInput("period must be > 0")
-    q, err = _periodic(f, period, spec)
-    if np.ndim(q) == 0:
-        return ComplexAmplitude(complex(q), float(np.max(err)))
-    return q, err
+    return _amplitude(*_periodic(f, period, spec))
 
 
 # ---------------------------------------------------------------------------

@@ -149,7 +149,7 @@ def check_spreading_law(spec=DEFAULT_SPEC):
     return name, ok_var and ok_drift, detail
 
 
-def _continuation_grid(kind, pk, m0):
+def _continuation_grid(kind, m0):
     if kind == "lattice":
         return np.arange(-10.0, 11.0)
     width5 = math.sqrt(spreading_width_sq(m0, 5.0))
@@ -164,14 +164,12 @@ def check_continuation(spec=DEFAULT_SPEC):
     where = ""
     for kind, pk in _spreading_packets(spec):
         m0 = moments_quadrature(pk, spec)
-        xs = _continuation_grid(kind, pk, m0)
+        xs = _continuation_grid(kind, m0)
         for t in (0.0, 0.5, 1.0, 2.0, 5.0):
-            closed = np.atleast_1d(evolve_closed(pk, xs, t))
-            for j, xv in enumerate(xs):
-                q = evolve_quadrature(pk, float(xv), t, spec)
-                d = abs(closed[j] - q.value)
-                if d > worst:
-                    worst, where = d, f"{kind} x={xv:.3g} t={t}"
+            d = np.abs(evolve_closed(pk, xs, t) - evolve_quadrature(pk, xs, t, spec).value)
+            j = int(np.argmax(d))
+            if d[j] > worst:
+                worst, where = float(d[j]), f"{kind} x={xs[j]:.3g} t={t}"
     return _result("greens-continuation", worst, 1e-6, extra=where)
 
 

@@ -139,6 +139,23 @@ def test_evolve_grid_schema(tmp_path):
     assert all(float(r[2]) >= 0.0 for r in rows)
 
 
+def test_evolve_quadrature_matches_closed(tmp_path):
+    args = ("evolve", "--dispersion", "rel", "--mass", "1", "--alpha", "1", "--beta-re", "0.5",
+            "--x-min", "-8", "--x-max", "8", "--x-steps", "41", "--t-min", "0", "--t-max", "5",
+            "--t-steps", "3", "--format", "json")
+    data = {}
+    for method in ("closed", "quadrature"):
+        out = tmp_path / f"{method}.json"
+        cp = run_cli(*args, "--method", method, "--out", str(out))
+        assert cp.returncode == 0, cp.stderr
+        data[method] = json.loads(out.read_text())
+    assert set(data["quadrature"]["meta"]) == {"tolerance", "method", "max_mass_deviation"}
+    closed = np.array(data["closed"]["rows"])
+    quad = np.array(data["quadrature"]["rows"])
+    assert np.array_equal(closed[:, :2], quad[:, :2])
+    assert np.max(np.abs(closed[:, 2] - quad[:, 2])) <= 1e-12
+
+
 def test_spread_table(tmp_path):
     out = tmp_path / "s.csv"
     cp = run_cli(

@@ -44,7 +44,7 @@ class TestGreensClosed:
         assert greens_closed(LATTICE, 0.0, 0.0) == pytest.approx(1.0)
 
     def test_lattice_empty_row(self):
-        for t in (0.0, 1.0, 30.0):  # z = 0, and |t|/(m a^2) on each side of the series radius
+        for t in (0.0, 1.0, 30.0):  # z = 0 and two |z| = |t|/(m a^2) apart
             assert greens_closed(LATTICE, np.array([]), t).shape == (0,)
 
     def test_lattice_non_integer_site(self):
@@ -67,8 +67,8 @@ class TestGreensClosed:
         assert abs(slope + 1.0) <= 0.05
 
     def test_inside_outside_overlap_band(self):
-        # Just inside the cone the J/N form must agree with the K form
-        # continued through t - i*eps (series regime of K_1).
+        # Just inside the cone K_1 on the imaginary axis (the J/N form) must
+        # agree with K_1 continued through t - i*eps.
         t = 2.0
         for ratio in (1.001, 1.005, 1.01):
             x = t / ratio
@@ -86,13 +86,14 @@ class TestGreensClosed:
     @pytest.mark.parametrize("t", [0.5, -0.5, 9.0, -9.0])
     def test_row_against_scipy(self, t):
         # One K_1 formula on both sides of the cone, with m sqrt|x^2 - t^2|
-        # on both sides of the series radius 8.
+        # on both sides of the K series radius.
         m = 2.0
         x = np.linspace(-15.0, 15.0, 199)
         g = greens_closed(DispersionRelation.relativistic(m), x, t)
         diff = x * x - t * t
         s = np.sqrt(np.abs(diff))
-        assert np.any(m * s < 8.0) and np.any(m * s > 8.0)
+        radius = numerics._SERIES_RADIUS
+        assert np.any(m * s < radius) and np.any(m * s > radius)
         outside = 1j * m * t * special.k1(m * s) / (np.pi * s)
         inside = -(m * abs(t) / (2.0 * s)) * (special.j1(m * s) - 1j * np.sign(t) * special.y1(m * s))
         ref = np.where(diff > 0.0, outside, inside)
@@ -141,8 +142,8 @@ def test_lattice_oracle_at_far_sites(t, x):
 
 @pytest.mark.parametrize("x", [0.0, 30.0, 60.0])
 def test_lattice_oracle_past_series_radius(x):
-    # |alpha + i t|/(m a^2) = |3 + 9.5i| > 8: the closed form leaves the
-    # power series. A periodic rule on I_60 aliased to 0.25 off here.
+    # |alpha + i t|/(m a^2) = |3 + 9.5i| ~ 10. A periodic rule on I_60
+    # aliased to 0.25 off here.
     pk = make_minimal(DispersionRelation.lattice(1.0, 1.0), 3.0, 0.0, 0.0)
     oracle = evolve_quadrature(pk, x, 9.5)
     assert abs(oracle.value - evolve_closed(pk, x, 9.5)) <= 1e-12
@@ -156,6 +157,50 @@ def test_lattice_row_reaching_underflow():
     row = greens_closed(lat, np.array([0.0, 2e6]), 9.5 - 3j)
     assert row[1] == 0.0
     assert row[0] == greens_closed(lat, np.array([0.0]), 9.5 - 3j)[0]
+
+
+@pytest.mark.parametrize(
+    "rel,beta",
+    [(NONREL, 0.5), (LATTICE, 0.0), (REL, 0.5), (MASSLESS, 0.5)],
+)
+@pytest.mark.parametrize("t", [0.0, 5.0])
+def test_batched_oracle_matches_pointwise(rel, beta, t):
+    # One integral per block of x columns refines for its worst column, so
+    # every point stays within 1e-12 of its own integral. 150 points span
+    # three blocks; a 2-D x keeps its shape.
+    pk = make_minimal(rel, 1.0, beta, 0.0)
+    row = np.arange(-75.0, 75.0) if rel is LATTICE else np.linspace(-9.0, 14.0, 150)
+    pointwise = np.array([evolve_quadrature(pk, xv, t).value for xv in row])
+    for x, ref in ((row, pointwise), (row[:12].reshape(3, 4), pointwise[:12].reshape(3, 4))):
+        batched = evolve_quadrature(pk, x, t)
+        assert batched.value.shape == batched.abs_error.shape == x.shape
+        assert np.all(np.abs(batched.value - ref) <= 1e-12)
+
+
+@pytest.mark.parametrize("t", [0.0, 5.0, 3.131722, 5.846008])
+def test_lattice_oracle_row_with_far_sites(t):
+    # One block mixing x = 0 with far sites starts from enough points for
+    # its highest frequency.
+    pk = make_minimal(DispersionRelation.lattice(2.129999, 1.0), 1.270367, 0.0, 0.0)
+    x = np.array([0.0, 129.0, -199.0, -119.0])
+    batched = evolve_quadrature(pk, x, t).value
+    pointwise = np.array([evolve_quadrature(pk, xv, t).value for xv in x])
+    assert np.all(np.abs(batched - pointwise) <= 1e-12)
+    assert np.all(np.abs(batched - evolve_closed(pk, x, t)) <= 1e-12)
+
+
+def test_empty_oracle_row(monkeypatch):
+    # Empty x gives empty arrays without an integrand call.
+    pk = make_minimal(REL, 1.0, 0.5)
+    calls = []
+    evaluate = numerics._eval_points
+    monkeypatch.setattr(numerics, "_eval_points", lambda f, pts: calls.append(pts) or evaluate(f, pts))
+    for x in (np.array([]), np.empty((2, 0))):
+        out = evolve_quadrature(pk, x, 5.0)
+        assert out.value.shape == out.abs_error.shape == x.shape
+    ts = np.array([0.0, 5.0])
+    assert density_grid(pk, np.array([]), ts, "quadrature").density.shape == (2, 0)
+    assert calls == []
 
 
 def test_oracle_integrand_calls(monkeypatch):
@@ -239,7 +284,7 @@ class TestDensityGrid:
         ts = np.array([0.0, 1.0])
         closed = density_grid(pk, xs, ts, "closed")
         quad = density_grid(pk, xs, ts, "quadrature")
-        np.testing.assert_allclose(closed.density, quad.density, atol=1e-8)
+        np.testing.assert_allclose(closed.density, quad.density, rtol=0.0, atol=1e-12)
 
 
 def test_galilean_drift_slope_shift():
