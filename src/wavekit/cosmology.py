@@ -162,29 +162,35 @@ def mean_velocity(packet, model, t, spec=DEFAULT_SPEC):
     return float(vals[0].real)
 
 
-def _time_integral_grid(func, t_values, tol=_TIME_TOL):
+def _time_integral_grid(func, t_values, k, tol=_TIME_TOL):
     """Cumulative time integrals int_0^t func dt' at each sorted t in t_values.
 
-    ``func`` maps an array of times (N,) to values (N, k). Every interval
-    between consecutive output times (the first starts at 0) gets n
-    composite-Simpson panels and the per-interval sums are accumulated; n
-    doubles until the sup-norm increment falls below tolerance. The nodes
-    of n panels are the even nodes of 2n, so each doubling evaluates only
-    the new midpoints, in one call, and every node is evaluated once.
-    Returns shape (len(t_values), k).
+    ``func`` maps an array of times (N,) to real values (N, k). Every
+    interval of positive width between consecutive output times (the first
+    starts at 0) gets n composite-Simpson panels and the per-interval sums
+    are accumulated; n doubles until the sup-norm increment falls below
+    tolerance. A zero-width interval (a leading t = 0, a repeated time)
+    adds exactly 0 and gets no nodes, so all-zero t_values make no call.
+    The nodes of n panels are the even nodes of 2n, so each doubling
+    evaluates only the new midpoints, in one call, and every node is
+    evaluated once. Returns shape (len(t_values), k).
     """
     edges = np.concatenate(([0.0], t_values))
-    widths = np.diff(edges)
+    live = np.diff(edges) > 0.0
+    lefts, widths = edges[:-1][live], np.diff(edges)[live]
+    sums = np.zeros((len(t_values), k))
+    if not live.any():
+        return sums
     n = 16
-    nodes = edges[:-1, np.newaxis] + widths[:, np.newaxis] * np.linspace(0.0, 1.0, n + 1)
+    nodes = lefts[:, np.newaxis] + widths[:, np.newaxis] * np.linspace(0.0, 1.0, n + 1)
     vals = func(nodes.ravel()).reshape(nodes.shape + (-1,))
     prev = None
     while True:
         simpson = np.ones(n + 1)
         simpson[1:-1:2] = 4.0
         simpson[2:-1:2] = 2.0
-        panels = np.einsum("j,ijk->ik", simpson, vals) * (widths / (3.0 * n))[:, np.newaxis]
-        cum = np.cumsum(panels, axis=0)
+        sums[live] = np.einsum("j,ijk->ik", simpson, vals) * (widths / (3.0 * n))[:, np.newaxis]
+        cum = np.cumsum(sums, axis=0)
         if not np.all(np.isfinite(cum)):
             raise NonConvergence("time integrand is not finite")
         if prev is not None:
@@ -198,7 +204,7 @@ def _time_integral_grid(func, t_values, tol=_TIME_TOL):
         n *= 2
         # n is a power of two, so (2j+1)/n is exact and the kept nodes are
         # the floats a fresh grid of n panels would hold.
-        mids = edges[:-1, np.newaxis] + widths[:, np.newaxis] * (np.arange(1, n, 2) / n)
+        mids = lefts[:, np.newaxis] + widths[:, np.newaxis] * (np.arange(1, n, 2) / n)
         fresh = func(mids.ravel()).reshape(mids.shape + (-1,))
         grown = np.empty((len(widths), n + 1, vals.shape[-1]), dtype=vals.dtype)
         grown[:, ::2] = vals
@@ -252,7 +258,7 @@ def comoving_trace(packet, model, t_values, spec=DEFAULT_SPEC):
         x_w = np.full_like(p, -beta_i)  # Re Phi* i Phi' / |Phi|^2
         x2_w = d * d + beta_i * beta_i  # |Phi'|^2 / |Phi|^2
         w = np.concatenate([
-            _time_integral_grid(lambda tp: drift(block, tp), grid)[rows].T
+            _time_integral_grid(lambda tp: drift(block, tp), grid, len(block))[rows].T
             for block in np.split(p, range(_TIME_BLOCK, len(p), _TIME_BLOCK))
         ])
         v_now = rel.velocity(p[:, np.newaxis] * (r0 / rt))

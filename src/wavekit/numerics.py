@@ -324,12 +324,12 @@ def _tail_budget(spec):
     return math.log(1.0 / max(spec.absolute_floor, 1e-18)) + _WINDOW_SAFETY
 
 
-def _line_integral(f, lo, hi, spec, breakpoints=()):
+def _line_integral(f, lo, hi, spec, breakpoints=(), panels=8):
     """Adaptive integral of ``f`` over the momentum window [lo, hi], with a
-    breakpoint at 0 (where |p| kinks) and 8 initial panels; returns
-    (value, err) arrays."""
+    breakpoint at 0 (where |p| kinks) and ``panels`` equal initial panels;
+    returns (value, err) arrays."""
     pts = (0.0,) + tuple(breakpoints)
-    return _adaptive(f, lo, hi, spec, breakpoints=pts, initial_panels=8)
+    return _adaptive(f, lo, hi, spec, breakpoints=pts, initial_panels=panels)
 
 
 def integrate_line(f, decay_rate, spec=DEFAULT_SPEC, *, breakpoints=()):
@@ -337,13 +337,13 @@ def integrate_line(f, decay_rate, spec=DEFAULT_SPEC, *, breakpoints=()):
 
     ``f`` must be continuous with ``|f(p)| <= C exp(-decay_rate |p|)`` for
     large ``|p|``; the integral runs over |p| <= budget / decay_rate, so
-    that the discarded tail sits below the absolute floor.
+    that the discarded tail sits below the absolute floor. An integrand
+    whose values have shape S gives ``value`` and ``abs_error`` of shape S.
     """
     if decay_rate <= 0.0 or not math.isfinite(decay_rate):
         raise InvalidInput("decay_rate must be > 0")
     window = _tail_budget(spec) / decay_rate
-    value, err = _line_integral(f, -window, window, spec, breakpoints)
-    return ComplexAmplitude(complex(value), float(np.max(err)))
+    return _amplitude(*_line_integral(f, -window, window, spec, breakpoints))
 
 
 def _periodic(f, period, spec, points=16):

@@ -174,6 +174,7 @@ def evolve_quadrature(packet, x, t, spec=DEFAULT_SPEC):
     value = np.empty(flat.shape, dtype=complex)
     err = np.empty(flat.shape)
     lo, hi = density_window(rel, packet.alpha, packet.beta_r, 1, spec)
+    v_ends = rel.velocity(np.array([lo, hi]))
     for s in range(0, len(flat), _X_BLOCK):
         block = slice(s, s + _X_BLOCK)
         xb = flat[block]
@@ -191,7 +192,14 @@ def evolve_quadrature(packet, x, t, spec=DEFAULT_SPEC):
             points = 1 << (math.ceil(2.0 * reach / a) + 15).bit_length()
             value[block], err[block] = _periodic(f, 2.0 * math.pi / a, spec, points)
         else:
-            value[block], err[block] = _line_integral(f, lo, hi, spec)
+            # The phase p (x + beta_i) - E(p) t turns at the rate
+            # x + beta_i - v(p) t, largest at a window end since v is
+            # monotone on the window; panels of at most two of its shortest
+            # wavelengths (within the subdivision budget) leave the rule
+            # little to bisect.
+            omega = np.max(np.abs((xb + packet.beta_i)[:, np.newaxis] - v_ends * t))
+            panels = max(8, math.ceil(min(spec.max_subdivisions, (hi - lo) * omega / (4.0 * math.pi))))
+            value[block], err[block] = _line_integral(f, lo, hi, spec, panels=panels)
     return _amplitude(value.reshape(x.shape), err.reshape(x.shape))
 
 

@@ -252,13 +252,13 @@ class TestComovingTrace:
         widths = []
         integrate = cosmology._time_integral_grid
 
-        def recording(func, t_values):
+        def recording(func, t_values, k):
             def columns(tp):
                 vals = func(tp)
                 widths.append(vals.shape[1])
                 return vals
 
-            return integrate(columns, t_values)
+            return integrate(columns, t_values, k)
 
         monkeypatch.setattr(cosmology, "_time_integral_grid", recording)
         pk = make_minimal(REL, 1.0, 0.5, 0.0)
@@ -326,7 +326,7 @@ class TestTimeIntegralGrid:
             seen.append(tp.copy())
             return np.column_stack([np.exp(np.sin(3.0 * tp)), np.cos(tp)])
 
-        cosmology._time_integral_grid(func, t_values)
+        cosmology._time_integral_grid(func, t_values, 2)
         calls = len(seen)
         n_final = 16 * 2 ** (calls - 1)
         times = np.concatenate(seen)
@@ -348,8 +348,8 @@ class TestTimeIntegralGrid:
         integrate = cosmology._time_integral_grid
         compared = []
 
-        def both(func, t_values):
-            got = integrate(func, t_values)
+        def both(func, t_values, k):
+            got = integrate(func, t_values, k)
             compared.append(np.array_equal(got, _reference_time_integral_grid(func, t_values)))
             return got
 
@@ -362,7 +362,33 @@ class TestTimeIntegralGrid:
         # 2^18 panels on [0, 1] do not resolve a period of 3e-6.
         with pytest.raises(NonConvergence, match=r"at n = 262144 panels per interval the worst "
                            r"increment [1-9][^ ]* exceeds tol\*scale = 1\.000e-09"):
-            cosmology._time_integral_grid(lambda tp: np.cos(2e6 * tp)[:, np.newaxis], np.array([1.0]))
+            cosmology._time_integral_grid(lambda tp: np.cos(2e6 * tp)[:, np.newaxis], np.array([1.0]), 1)
+
+    def test_zero_width_intervals_get_no_nodes(self):
+        # [0, 1, 1, 5]: the leading [0, 0] and the repeated [1, 1] add
+        # exactly 0, so only [0, 1] and [1, 5] get nodes, n + 1 each.
+        seen = []
+
+        def func(tp):
+            seen.append(tp.copy())
+            return np.column_stack([np.exp(np.sin(3.0 * tp)), np.cos(tp)])
+
+        t_values = np.array([0.0, 1.0, 1.0, 5.0])
+        got = cosmology._time_integral_grid(func, t_values, 2)
+        n_final = 16 * 2 ** (len(seen) - 1)
+        times = np.concatenate(seen)
+        assert len(times) == 2 * (n_final + 1)
+        assert np.array_equal(np.unique(times), np.union1d(np.linspace(0.0, 1.0, n_final + 1),
+                                                           np.linspace(1.0, 5.0, n_final + 1)))
+        assert np.array_equal(got, _reference_time_integral_grid(func, t_values))
+        assert np.all(got[0] == 0.0) and np.array_equal(got[1], got[2])
+
+    def test_time_zero_alone_makes_no_call(self):
+        def func(tp):
+            raise AssertionError("integrand called for t_values = [0]")
+
+        got = cosmology._time_integral_grid(func, np.array([0.0]), 3)
+        assert np.array_equal(got, np.zeros((1, 3)))
 
 
 @pytest.mark.parametrize("hubble", [-200.0, 200.0])

@@ -45,6 +45,16 @@ class TestIntegrateLine:
         out = integrate_line(lambda p: np.exp(-2.0 * np.sqrt(p * p + 1.0)) * p, 1.0)
         assert abs(out.value) < 1e-12
 
+    def test_array_valued_integrand(self):
+        # Values of shape (2,) give value and abs_error of shape (2,); a
+        # scalar integrand still gets a Python complex and float.
+        out = integrate_line(lambda p: np.stack([np.exp(-p * p), p * p * np.exp(-p * p)], axis=1), 1.0)
+        assert out.value.shape == out.abs_error.shape == (2,)
+        assert np.allclose(out.value, [math.sqrt(math.pi), math.sqrt(math.pi) / 2.0], rtol=0.0, atol=1e-12)
+        scalar = integrate_line(lambda p: np.exp(-p * p), 1.0)
+        assert type(scalar.value) is complex and type(scalar.abs_error) is float
+        assert scalar.value == out.value[0]
+
     def test_invalid_decay_rate(self):
         with pytest.raises(InvalidInput):
             integrate_line(lambda p: np.exp(-p * p), -1.0)

@@ -204,8 +204,9 @@ def test_empty_oracle_row(monkeypatch):
 
 
 def test_oracle_integrand_calls(monkeypatch):
-    # The first panel alone, the other initial panels together, then one
-    # call per round: 49 panels (1029 points) in a handful of calls.
+    # The phase x + beta_i - v(p) t sizes the start: the first panel alone,
+    # the other initial panels together, then one call per round (73 + 6
+    # panels, 1659 points, in three calls).
     pk = make_minimal(REL, 1.0, 0.5)
     sizes = []
     evaluate = numerics._eval_points
@@ -216,8 +217,25 @@ def test_oracle_integrand_calls(monkeypatch):
 
     monkeypatch.setattr(numerics, "_eval_points", counting)
     evolve_quadrature(pk, 3.0, 5.0)
-    assert sum(sizes) == 1029
-    assert len(sizes) <= 6
+    assert sizes[0] == 21
+    assert sum(sizes) == 1659
+    assert len(sizes) == 3
+
+
+@pytest.mark.parametrize("rel", [NONREL, DispersionRelation.non_relativistic(1.0), REL,
+                                 DispersionRelation.relativistic(3.0), MASSLESS],
+                         ids=["nonrel3", "nonrel1", "rel1", "rel3", "massless"])
+def test_oracle_agrees_to_rounding_at_oscillatory_points(rel):
+    # Far from the packet and late, the Fourier integrand turns many times
+    # across the window; the oracle still meets the closed form to rounding.
+    worst = 0.0
+    for alpha, beta_r in [(0.6, -0.3), (1.0, 0.5), (2.0, 1.0)]:
+        pk = make_minimal(rel, alpha, beta_r)
+        for t in (5.0, 10.0):
+            for x in (-30.0, -10.0, 10.0, 25.0, 30.0):
+                diff = abs(evolve_quadrature(pk, x, t).value - evolve_closed(pk, x, t))
+                worst = max(worst, diff)
+    assert worst <= 1e-14
 
 
 def test_evolved_gaussian_width():
