@@ -1,9 +1,9 @@
-"""Diagnostics on evolved densities: grid moments, ridge slopes, peaks.
+"""Diagnostics on evolved densities: evolved moments, ridge slopes, peaks.
 
-The massless minimal packet has |Phi(x,t)|^2 ~ C/x^4 tails (the |p| kink in
-momentum space), so its position moments converge slowly in the window
-size; geometric tail meshes extend the core Simpson integration far enough
-to recover <x^2> at the 1e-7 level.
+The continuum moments of |Phi(x,t)|^2 are one adaptive Gauss-Kronrod
+integral over the whole line, mapped onto a finite interval by
+x = c + w tan(theta) (as QUADPACK's QAGI maps its infinite range); the
+massless packet's algebraic C/x^4 tails become bounded integrands there.
 """
 
 from __future__ import annotations
@@ -14,14 +14,10 @@ import numpy as np
 
 from .dispersion import Kind
 from .moments import moments_quadrature, spreading_width_sq, ehrenfest_position
+from .numerics import DEFAULT_SPEC, _adaptive
 from .propagation import evolve_closed
 
-_CORE_POINTS = 4001  # Simpson points on the core window
-_MASSLESS_CORE_POINTS = 8001  # the massless core window is wider
-_TAIL_RATIO = 1.001  # step ratio of the massless tails' geometric mesh
-
 __all__ = [
-    "simpson_or_trapezoid",
     "evolved_moments",
     "ridge_slope",
     "second_difference_sign_changes",
@@ -29,44 +25,19 @@ __all__ = [
 ]
 
 
-def simpson_or_trapezoid(y, x):
-    """Composite Simpson on a uniform mesh, trapezoid otherwise."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    h = np.diff(x)
-    if len(x) >= 3 and len(x) % 2 == 1 and np.allclose(h, h[0], rtol=1e-9):
-        step = h[0]
-        return step / 3.0 * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-2:2].sum())
-    return float(np.trapezoid(y, x))
-
-
-def _grid_stats(x, dens):
-    mass = simpson_or_trapezoid(dens, x)
-    mean = simpson_or_trapezoid(x * dens, x)
-    second = simpson_or_trapezoid(x * x * dens, x)
-    return mass, mean, second
-
-
-def _geometric_tail(packet, t, x0, x_far, sign):
-    """Moment contributions of a |Phi|^2 tail on [x0, x_far] (sign=+1)
-    or [-x_far, -x0] (sign=-1), integrated on a geometric mesh."""
-    n = int(math.log(x_far / x0) / math.log(_TAIL_RATIO)) + 2
-    xs = sign * x0 * _TAIL_RATIO ** np.arange(n)
-    dens = np.abs(evolve_closed(packet, xs, t)) ** 2
-    order = np.argsort(xs)
-    xs, dens = xs[order], dens[order]
-    mass = np.trapezoid(dens, xs)
-    mean = np.trapezoid(xs * dens, xs)
-    second = np.trapezoid(xs * xs * dens, xs)
-    return mass, mean, second
-
-
 def evolved_moments(packet, t, m0=None):
     """(mass, <x>, <x^2>) of the evolved coordinate-space density.
 
-    The mesh is sized from the predicted drift and spread; the spreading
-    law enters only through the window choice, never the integration
-    itself, so this stays a valid independent check of that law.
+    Continuum kinds integrate over theta in (-pi/2, pi/2) with
+    x = c + w u, u = tan(theta), where c and w^2 are the predicted drift and
+    spread; the spreading law sets only these coordinates, never the
+    integral, so this stays a valid independent check of that law. The
+    columns |Phi|^2 w sec^2(theta) [1, (1 + u)^2, (1 - u)^2] are positive,
+    so each meets the relative tolerance: a <u> column, near 0 by
+    construction, could only meet the absolute floor through rounding.
+    Their sums P and M give <u> = (P - M)/4 and <u^2> = (P + M)/2 - mass.
+    The rule starts from 16 equal panels, which costs fewer adaptive rounds
+    than it adds points. The lattice sums its sites.
     """
     rel = packet.rel
     if m0 is None:
@@ -85,26 +56,17 @@ def evolved_moments(packet, t, m0=None):
         second = float((sites * sites * probs).sum())
         return mass, mean, second
 
-    if rel.kind is Kind.RELATIVISTIC:
-        half = max(12.0 * width, abs(t) + 30.0 / rel.mass) + abs(center) + 5.0
-    elif rel.kind is Kind.MASSLESS:
-        half = abs(t) + 12.0 * width + 20.0
-    else:
-        half = 12.0 * width + abs(center) + 5.0
-    core_points = _MASSLESS_CORE_POINTS if rel.kind is Kind.MASSLESS else _CORE_POINTS
-    xs = np.linspace(center - half, center + half, core_points)
-    dens = np.abs(evolve_closed(packet, xs, t)) ** 2
-    mass, mean, second = _grid_stats(xs, dens)
+    def f(theta):
+        u = np.tan(theta)
+        dens = np.abs(evolve_closed(packet, center + width * u, t)) ** 2 * width * (1.0 + u * u)
+        return dens[:, np.newaxis] * np.stack([np.ones_like(u), (1.0 + u) ** 2, (1.0 - u) ** 2], axis=1)
 
-    if rel.kind is Kind.MASSLESS:
-        # Algebraic 1/x^4 tails: extend far enough that the truncated
-        # <x^2> tail (~C/x) is negligible.
-        x_far = 2.0e8
-        for sign, edge in ((1, xs[-1]), (-1, -xs[0])):
-            dm, dmean, dsec = _geometric_tail(packet, t, edge, x_far, sign)
-            mass += dm
-            mean += dmean
-            second += dsec
+    sums, _ = _adaptive(f, -0.5 * math.pi, 0.5 * math.pi, DEFAULT_SPEC, initial_panels=16)
+    mass, plus, minus = sums.real
+    mean_u = 0.25 * (plus - minus)
+    second_u = 0.5 * (plus + minus) - mass
+    mean = center * mass + width * mean_u
+    second = center * center * mass + 2.0 * center * width * mean_u + width * width * second_u
     return float(mass), float(mean), float(second)
 
 

@@ -346,16 +346,21 @@ def integrate_line(f, decay_rate, spec=DEFAULT_SPEC, *, breakpoints=()):
     return _amplitude(*_line_integral(f, -window, window, spec, breakpoints))
 
 
+# Nodes past which the periodic rule stops doubling (and will not start).
+_PERIODIC_MAX_POINTS = 1 << 20
+
+
 def _periodic(f, period, spec, points=16):
     """Trapezoid sum of a smooth periodic ``f`` over one period from
     ``points`` nodes, doubled until the increment meets the tolerance;
     returns (value, err) arrays. ``points`` must exceed twice the
     integrand's highest frequency, or two doublings can alias alike."""
+    if points > _PERIODIC_MAX_POINTS:
+        raise NonConvergence("periodic rule would start above %d points" % _PERIODIC_MAX_POINTS)
     a = -0.5 * period
     n = points
     q = period * _eval_points(f, a + period * np.arange(n) / n).mean(axis=0)
-    max_points = 1 << 20
-    while n <= max_points:
+    while n <= _PERIODIC_MAX_POINTS:
         mids = a + period * (np.arange(n) + 0.5) / n
         q_new = 0.5 * q + 0.5 * period * _eval_points(f, mids).mean(axis=0)
         err = np.abs(q_new - q)
@@ -364,7 +369,7 @@ def _periodic(f, period, spec, points=16):
         if np.all(err <= spec.relative_tolerance * np.abs(q) + spec.absolute_floor):
             return q, err
     raise NonConvergence(
-        "periodic rule did not converge below %d points" % max_points,
+        "periodic rule did not converge below %d points" % _PERIODIC_MAX_POINTS,
         value=q,
     )
 

@@ -20,12 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dispersion import Kind
-from .errors import InvalidInput, LightConeSingular, NonIntegerSite
+from .errors import InvalidInput, LightConeSingular, NonConvergence, NonIntegerSite
 from .numerics import (
     DEFAULT_SPEC,
     _amplitude,
     _bessel_i_vec,
     _bessel_k01_vec,
+    _PERIODIC_MAX_POINTS,
     _line_integral,
     _periodic,
 )
@@ -175,30 +176,40 @@ def evolve_quadrature(packet, x, t, spec=DEFAULT_SPEC):
     err = np.empty(flat.shape)
     lo, hi = density_window(rel, packet.alpha, packet.beta_r, 1, spec)
     v_ends = rel.velocity(np.array([lo, hi]))
+    decay = packet.alpha + 1j * t
+    scale = packet.norm_A / (2.0 * math.pi)
     for s in range(0, len(flat), _X_BLOCK):
         block = slice(s, s + _X_BLOCK)
         xb = flat[block]
+        shift = packet.beta + 1j * xb
 
         def f(p):
-            amp = packet.amplitude(p)[:, np.newaxis]
-            e = rel.energy(p)[:, np.newaxis]
-            return amp * np.exp(-1j * e * t + 1j * p[:, np.newaxis] * xb) / (2.0 * math.pi)
+            # A exp(-(alpha + i t) E + p (beta + i x)) / 2pi. A phase p x
+            # past the float range has no representable integral.
+            try:
+                with np.errstate(over="raise", invalid="raise"):
+                    return scale * np.exp(p[:, np.newaxis] * shift - decay * rel.energy(p)[:, np.newaxis])
+            except FloatingPointError as exc:
+                raise NonConvergence("oracle phase leaves the float range (%s)" % exc) from None
 
         if rel.kind is Kind.LATTICE:
             # Over the zone column j has frequency k = (x_j + beta_i)/a; a
-            # start below 2 max|k| nodes could accept two doublings aliased alike.
+            # start below 2 max|k| nodes could accept two doublings aliased
+            # alike. A far x gets a count the rule refuses before evaluating.
             a = rel.lattice_spacing
-            reach = np.max(np.abs(xb + packet.beta_i))
-            points = 1 << (math.ceil(2.0 * reach / a) + 15).bit_length()
+            with np.errstate(over="ignore"):
+                nodes = 2.0 * np.max(np.abs(xb + packet.beta_i)) / a
+            points = 1 << (math.ceil(min(nodes, _PERIODIC_MAX_POINTS)) + 15).bit_length()
             value[block], err[block] = _periodic(f, 2.0 * math.pi / a, spec, points)
         else:
             # The phase p (x + beta_i) - E(p) t turns at the rate
             # x + beta_i - v(p) t, largest at a window end since v is
             # monotone on the window; panels of at most two of its shortest
             # wavelengths (within the subdivision budget) leave the rule
-            # little to bisect.
-            omega = np.max(np.abs((xb + packet.beta_i)[:, np.newaxis] - v_ends * t))
-            panels = max(8, math.ceil(min(spec.max_subdivisions, (hi - lo) * omega / (4.0 * math.pi))))
+            # little to bisect. A far x makes the count inf, hence the cap.
+            with np.errstate(over="ignore"):
+                omega = np.max(np.abs((xb + packet.beta_i)[:, np.newaxis] - v_ends * t))
+                panels = max(8, math.ceil(min(spec.max_subdivisions, (hi - lo) * omega / (4.0 * math.pi))))
             value[block], err[block] = _line_integral(f, lo, hi, spec, panels=panels)
     return _amplitude(value.reshape(x.shape), err.reshape(x.shape))
 

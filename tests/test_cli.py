@@ -182,6 +182,15 @@ def test_spread_table(tmp_path):
         assert float(row[3]) <= 1e-5 * max(1.0, float(row[1]))
 
 
+def test_readme_spread_to_rounding():
+    # The README spread command: grid and law agree to rounding (1.4e-8 with
+    # fixed Simpson meshes and geometric massless tails).
+    cp = run_cli("spread", "--dispersion", "massless", "--alpha", "1", "--beta-re", "0.5",
+                 "--format", "json")
+    assert cp.returncode == 0, cp.stderr
+    assert json.loads(cp.stdout)["meta"]["max_rel_deviation"] <= 1e-12
+
+
 def test_boost_report(tmp_path):
     out = tmp_path / "b.csv"
     cp = run_cli(
