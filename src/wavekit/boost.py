@@ -18,9 +18,9 @@ from typing import Callable
 import numpy as np
 
 from .dispersion import Kind
-from .errors import InvalidBoost, KindMismatch
+from .errors import InvalidBoost, InvalidInput, KindMismatch
 from .moments import MomentSet, Provenance, moments_quadrature
-from .numerics import DEFAULT_SPEC, _line_integral, _tail_budget
+from .numerics import DEFAULT_SPEC, _line_integral
 from .packet import density_window, expectation_many, make_minimal
 
 __all__ = [
@@ -56,7 +56,7 @@ class BoostedWave:
     residual_factor: Callable[[np.ndarray], np.ndarray]
     u: float
     mass: float
-    decay_rate: float
+    window: tuple
 
     def __call__(self, p_prime):
         return self.evaluator(p_prime)
@@ -87,13 +87,15 @@ def lorentz_boost_params(alpha, beta_r, u):
     )
 
 
-def lorentz_boost_wavefunction(psi, u, mass, decay_rate=1.0):
+def lorentz_boost_wavefunction(psi, u, mass, window):
     """Boost an arbitrary normalized momentum-space wave function.
 
     Uses the explicit inverse map p = gamma [p' + u E'(p')] and the real
-    positive residual A(-p') = sqrt(gamma (1 + u v'(p'))). ``decay_rate``
-    is the exponential-decay hint of |psi|^2 in its own frame; the boosted
-    hint shrinks by the worst-case momentum compression gamma (1 - |u|).
+    positive residual A(-p') = sqrt(gamma (1 + u v'(p'))). ``window`` (lo,
+    hi) bounds the momenta that carry |psi|^2 in its own frame; the boosted
+    window is its image under the increasing map p' = gamma (p - u E(p)).
+    The map's Jacobian is |A(-p')|^2, so the boosted density outside that
+    window has exactly the norm psi has outside its own.
     """
     bp = BoostParams.lorentz(u)
     m = float(mass)
@@ -112,13 +114,16 @@ def lorentz_boost_wavefunction(psi, u, mass, decay_rate=1.0):
         p = gamma * (p_prime + u * e_prime)
         return residual(p_prime) * psi(p)
 
-    boosted_rate = decay_rate * gamma * (1.0 - abs(u))
+    ends = np.asarray(window, dtype=float)
+    if not (ends.shape == (2,) and np.all(np.isfinite(ends)) and ends[0] < ends[1]):
+        raise InvalidInput("window must be two finite momenta lo < hi")
+    ends = gamma * (ends - u * np.sqrt(ends * ends + m * m))
     return BoostedWave(
         evaluator=evaluator,
         residual_factor=residual,
         u=float(u),
         mass=m,
-        decay_rate=boosted_rate,
+        window=(float(ends[0]), float(ends[1])),
     )
 
 
@@ -126,9 +131,8 @@ def boost_minimal_packet(packet, u, spec=DEFAULT_SPEC):
     """Lorentz-boost a relativistic minimal packet's wave function."""
     if packet.rel.kind is not Kind.RELATIVISTIC:
         raise KindMismatch("wave-function boosts are defined for the relativistic kind")
-    lo, hi = density_window(packet.rel, packet.alpha, packet.beta_r, 2, spec)
-    rate = _tail_budget(spec) / max(-lo, hi)
-    return lorentz_boost_wavefunction(packet.amplitude, u, packet.rel.mass, decay_rate=rate)
+    window = density_window(packet.rel, packet.alpha, packet.beta_r, 2, spec)
+    return lorentz_boost_wavefunction(packet.amplitude, u, packet.rel.mass, window)
 
 
 def boosted_wave_moments(wave, spec=DEFAULT_SPEC):
@@ -146,8 +150,7 @@ def boosted_wave_moments(wave, spec=DEFAULT_SPEC):
         )
         return w * dens[:, np.newaxis]
 
-    window = _tail_budget(spec) / wave.decay_rate
-    vals, _ = _line_integral(f, -window, window, spec)
+    vals, _ = _line_integral(f, *wave.window, spec)
     vals = vals.real
     return {
         "norm": float(vals[0]),

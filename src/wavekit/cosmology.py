@@ -5,10 +5,9 @@ momentum p_rho; physical momentum p = p_rho / R(t) is red-shifted as the
 universe grows. Packets are specified in physical momentum at t = 0 and
 carried forward through the conserved p_rho = p R(0). A comoving trace is
 therefore one momentum quadrature over the t = 0 packet: its weights carry
-the per-momentum time integral W(t, p) for every output time, taken in one
-cumulative pass over the sorted times: composite Simpson on every interval
-between them, doubled until it settles, each doubling evaluating only the
-new midpoints.
+the per-momentum time integral W(t, p) for every output time, all of them
+one adaptive Gauss-Kronrod integral over [0, max t] with a breakpoint at
+each output time.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ import numpy as np
 
 from .dispersion import Kind
 from .errors import InvalidInput, KindMismatch, NonConvergence, OverflowSignal
-from .numerics import DEFAULT_SPEC
+from .numerics import DEFAULT_SPEC, _adaptive
 from .packet import expectation_many
 
 __all__ = [
@@ -35,9 +34,8 @@ __all__ = [
     "comoving_trace",
 ]
 
-_TIME_TOL = 1e-9  # sup-norm tolerance of the cumulative time integral
-# Momenta per cumulative time integral (two 21-point panels): its node grid
-# holds every node of every interval per momentum, so blocks bound its memory.
+# Momenta per time integral: its panel store holds a column per momentum
+# and output time, so blocks bound its memory.
 _TIME_BLOCK = 42
 
 
@@ -162,58 +160,27 @@ def mean_velocity(packet, model, t, spec=DEFAULT_SPEC):
     return float(vals[0].real)
 
 
-def _time_integral_grid(func, t_values, k, tol=_TIME_TOL):
+def _time_integral_grid(func, t_values, k, spec=DEFAULT_SPEC):
     """Cumulative time integrals int_0^t func dt' at each sorted t in t_values.
 
-    ``func`` maps an array of times (N,) to real values (N, k). Every
-    interval of positive width between consecutive output times (the first
-    starts at 0) gets n composite-Simpson panels and the per-interval sums
-    are accumulated; n doubles until the sup-norm increment falls below
-    tolerance. A zero-width interval (a leading t = 0, a repeated time)
-    adds exactly 0 and gets no nodes, so all-zero t_values make no call.
-    The nodes of n panels are the even nodes of 2n, so each doubling
-    evaluates only the new midpoints, in one call, and every node is
-    evaluated once. Returns shape (len(t_values), k).
+    ``func`` maps an array of times (N,) to real values (N, k). One adaptive
+    Gauss-Kronrod integral over [0, max t], with a breakpoint at every t,
+    has a column per (t, momentum): ``func`` masked to t' <= t. Every node
+    lies strictly inside a panel, so the mask is exact; a row for t = 0 is
+    exactly 0, repeated times give equal rows and all-zero t_values make no
+    call. Returns shape (len(t_values), k).
     """
-    edges = np.concatenate(([0.0], t_values))
-    live = np.diff(edges) > 0.0
-    lefts, widths = edges[:-1][live], np.diff(edges)[live]
-    sums = np.zeros((len(t_values), k))
-    if not live.any():
-        return sums
-    n = 16
-    nodes = lefts[:, np.newaxis] + widths[:, np.newaxis] * np.linspace(0.0, 1.0, n + 1)
-    vals = func(nodes.ravel()).reshape(nodes.shape + (-1,))
-    prev = None
-    while True:
-        simpson = np.ones(n + 1)
-        simpson[1:-1:2] = 4.0
-        simpson[2:-1:2] = 2.0
-        sums[live] = np.einsum("j,ijk->ik", simpson, vals) * (widths / (3.0 * n))[:, np.newaxis]
-        cum = np.cumsum(sums, axis=0)
-        if not np.all(np.isfinite(cum)):
-            raise NonConvergence("time integrand is not finite")
-        if prev is not None:
-            scale = max(1.0, float(np.max(np.abs(cum))))
-            increment = float(np.max(np.abs(cum - prev)))
-            if increment <= tol * scale:
-                return cum
-        prev = cum
-        if n == 1 << 18:
-            break
-        n *= 2
-        # n is a power of two, so (2j+1)/n is exact and the kept nodes are
-        # the floats a fresh grid of n panels would hold.
-        mids = lefts[:, np.newaxis] + widths[:, np.newaxis] * (np.arange(1, n, 2) / n)
-        fresh = func(mids.ravel()).reshape(mids.shape + (-1,))
-        grown = np.empty((len(widths), n + 1, vals.shape[-1]), dtype=vals.dtype)
-        grown[:, ::2] = vals
-        grown[:, 1::2] = fresh
-        vals = grown
-    raise NonConvergence(
-        "time integration did not converge: at n = %d panels per interval the worst "
-        "increment %.3e exceeds tol*scale = %.3e" % (n, increment, tol * scale)
-    )
+    if not t_values[-1] > 0.0:
+        return np.zeros((len(t_values), k))
+
+    def masked(tp):
+        return np.where((tp[:, np.newaxis] <= t_values)[:, :, np.newaxis], func(tp)[:, np.newaxis], 0.0)
+
+    try:
+        value, _ = _adaptive(masked, 0.0, t_values[-1], spec, breakpoints=t_values)
+    except NonConvergence as exc:
+        raise NonConvergence("time integral: %s" % exc, exc.value, exc.abs_error) from None
+    return value.real
 
 
 def comoving_trace(packet, model, t_values, spec=DEFAULT_SPEC):
@@ -224,7 +191,7 @@ def comoving_trace(packet, model, t_values, spec=DEFAULT_SPEC):
     <rho^2>(t) = <x^2>(0)/R(0)^2 + (2/R(0)) Re<W x> + <W^2>, with the
     per-momentum weight W(t, p) = int_0^t v(p R(0)/R(t'))/R(t') dt'. All of
     them, for all output times, come from one p-quadrature whose weights
-    take W at every t from one cumulative time integral.
+    take W at every t from one adaptive time integral.
     """
     _check_kind(packet)
     t_values = np.asarray(t_values, dtype=float)
@@ -240,9 +207,9 @@ def comoving_trace(packet, model, t_values, spec=DEFAULT_SPEC):
     r0 = float(_scale(model, 0.0))
     rt = _scale(model, t_values)
     k = len(t_values)
-    # A table's R is only piecewise smooth, so its knots inside the traced
-    # range become extra interval edges of the time integral (Simpson then
-    # converges at its full order); only the requested rows are kept.
+    # A table's R is only piecewise smooth: its knots inside the traced
+    # range become extra breakpoints of the time integral, so no panel
+    # straddles a kink; only the requested rows are kept.
     grid, rows = t_values, slice(None)
     if isinstance(model, TabulatedScale):
         knots = np.asarray(model.times, dtype=float)
@@ -258,7 +225,7 @@ def comoving_trace(packet, model, t_values, spec=DEFAULT_SPEC):
         x_w = np.full_like(p, -beta_i)  # Re Phi* i Phi' / |Phi|^2
         x2_w = d * d + beta_i * beta_i  # |Phi'|^2 / |Phi|^2
         w = np.concatenate([
-            _time_integral_grid(lambda tp: drift(block, tp), grid, len(block))[rows].T
+            _time_integral_grid(lambda tp: drift(block, tp), grid, len(block), spec)[rows].T
             for block in np.split(p, range(_TIME_BLOCK, len(p), _TIME_BLOCK))
         ])
         v_now = rel.velocity(p[:, np.newaxis] * (r0 / rt))

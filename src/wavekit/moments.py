@@ -194,10 +194,9 @@ def moments_closed_form(packet, spec=DEFAULT_SPEC):
         )
 
     # Minimal packets have vanishing connected position-velocity correlation.
-    corr = None if out["mean_v"] is None else 2.0 * out["mean_v"] * mean_x
     return MomentSet(
         mean_x=mean_x,
-        corr_vx=corr,
+        corr_vx=2.0 * out["mean_v"] * mean_x,
         provenance=Provenance.CLOSED_FORM,
         **out,
     )

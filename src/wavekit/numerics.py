@@ -354,15 +354,27 @@ def _periodic(f, period, spec, points=16):
     """Trapezoid sum of a smooth periodic ``f`` over one period from
     ``points`` nodes, doubled until the increment meets the tolerance;
     returns (value, err) arrays. ``points`` must exceed twice the
-    integrand's highest frequency, or two doublings can alias alike."""
+    integrand's highest frequency, or two doublings can alias alike. A
+    one-node first call tells the rule the integrand's width; each level's
+    nodes are then evaluated in calls of at most ``_CALL_ELEMENTS`` output
+    values."""
     if points > _PERIODIC_MAX_POINTS:
         raise NonConvergence("periodic rule would start above %d points" % _PERIODIC_MAX_POINTS)
     a = -0.5 * period
+    per_call = max(1, _CALL_ELEMENTS // max(_eval_points(f, np.array([a])).size, 1))
+
+    def mean(n, offset):
+        # Mean of f over the nodes a + period (j + offset) / n, j < n; in
+        # one call it is the float ndarray.mean gives.
+        return sum(
+            _eval_points(f, a + period * (np.arange(j, min(j + per_call, n)) + offset) / n).sum(axis=0)
+            for j in range(0, n, per_call)
+        ) / n
+
     n = points
-    q = period * _eval_points(f, a + period * np.arange(n) / n).mean(axis=0)
+    q = period * mean(n, 0.0)
     while n <= _PERIODIC_MAX_POINTS:
-        mids = a + period * (np.arange(n) + 0.5) / n
-        q_new = 0.5 * q + 0.5 * period * _eval_points(f, mids).mean(axis=0)
+        q_new = 0.5 * q + 0.5 * period * mean(n, 0.5)
         err = np.abs(q_new - q)
         q = q_new
         n *= 2

@@ -58,13 +58,11 @@ class CheckResult:
     elapsed: float
 
 
-def _result(name, worst, tol, extra="", larger_is_better=False):
-    passed = worst >= tol if larger_is_better else worst <= tol
-    cmp = ">=" if larger_is_better else "<="
-    detail = f"worst {worst:.3e} {cmp} {tol:.0e}"
+def _result(name, worst, tol, extra=""):
+    detail = f"worst {worst:.3e} <= {tol:.0e}"
     if extra:
         detail += f"; {extra}"
-    return name, passed, detail
+    return name, worst <= tol, detail
 
 
 def _kind_rel(kind):

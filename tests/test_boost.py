@@ -16,9 +16,9 @@ from wavekit.boost import (
     lorentz_boost_wavefunction,
 )
 from wavekit.dispersion import DispersionRelation
-from wavekit.errors import InvalidBoost, KindMismatch
+from wavekit.errors import InvalidBoost, InvalidInput, KindMismatch
 from wavekit.moments import moments_quadrature
-from wavekit.packet import make_minimal
+from wavekit.packet import expectation_many, make_minimal
 
 NONREL = DispersionRelation.non_relativistic(3.0)
 REL = DispersionRelation.relativistic(1.0)
@@ -126,9 +126,14 @@ class TestBoostedWave:
         )
 
     def test_norm_preserved(self):
-        for u in (0.2, 0.6, -0.8):
-            wave = boost_minimal_packet(make_minimal(REL, 1.0, 0.25, 0.0), u)
-            assert abs(boosted_wave_moments(wave)["norm"] - 1.0) <= 1e-8
+        # The map's Jacobian is |A(-p')|^2, so the boosted norm over the
+        # mapped window is the packet's norm over its own window.
+        pk = make_minimal(REL, 1.0, 0.25, 0.0)
+        own = expectation_many(pk, lambda p: np.ones((len(p), 1)))[0][0].real
+        for u in (0.2, 0.6, -0.8, 0.95):
+            norm = boosted_wave_moments(boost_minimal_packet(pk, u))["norm"]
+            assert abs(norm - 1.0) <= 1e-8
+            assert abs(norm - own) <= 1e-14
 
     def test_boosted_packet_factorizes(self):
         # Psi_b(p') = A(-p') * A exp(-alpha' E' + beta' p') pointwise.
@@ -146,7 +151,12 @@ class TestBoostedWave:
         with pytest.raises(KindMismatch):
             boost_minimal_packet(make_minimal(NONREL, 1.0, 0.0, 0.0), 0.5)
         with pytest.raises(KindMismatch):
-            lorentz_boost_wavefunction(lambda p: p, 0.5, mass=0.0)
+            lorentz_boost_wavefunction(lambda p: p, 0.5, mass=0.0, window=(-1.0, 1.0))
+
+    @pytest.mark.parametrize("window", [(1.0, -1.0), (0.0, 0.0), (-1.0, math.inf), (math.nan, 1.0), (1.0,)])
+    def test_invalid_window(self, window):
+        with pytest.raises(InvalidInput):
+            lorentz_boost_wavefunction(lambda p: p, 0.5, 1.0, window)
 
 
 class TestBoostedExpectations:

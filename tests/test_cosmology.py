@@ -2,7 +2,6 @@
 
 import math
 import warnings
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -20,6 +19,7 @@ from wavekit.cosmology import (
 from wavekit.dispersion import DispersionRelation
 from wavekit.errors import InvalidInput, KindMismatch, NonConvergence, OverflowSignal
 from wavekit.moments import moments_quadrature, spreading_width_sq
+from wavekit.numerics import QuadratureSpec
 from wavekit.packet import expectation_many, make_minimal
 
 NONREL = DispersionRelation.non_relativistic(3.0)
@@ -246,19 +246,19 @@ class TestComovingTrace:
         assert len(calls) == 1
 
     def test_time_integral_sees_bounded_momentum_blocks(self, monkeypatch):
-        # The time grid holds every node for every momentum, so however many
-        # momenta an adaptive round hands over, one time integral takes at
-        # most a block of them.
+        # The time integral's panel store holds a column per momentum and
+        # output time, so however many momenta an adaptive round hands over,
+        # one time integral takes at most a block of them.
         widths = []
         integrate = cosmology._time_integral_grid
 
-        def recording(func, t_values, k):
+        def recording(func, t_values, k, spec):
             def columns(tp):
                 vals = func(tp)
                 widths.append(vals.shape[1])
                 return vals
 
-            return integrate(columns, t_values, k)
+            return integrate(columns, t_values, k, spec)
 
         monkeypatch.setattr(cosmology, "_time_integral_grid", recording)
         pk = make_minimal(REL, 1.0, 0.5, 0.0)
@@ -282,29 +282,6 @@ class TestComovingTrace:
             comoving_trace(pk, EXPANDING, np.array([bad, 1.0]))
 
 
-def _reference_time_integral_grid(func, t_values, tol=cosmology._TIME_TOL):
-    """The time integral that evaluates every node afresh at each doubling."""
-    edges = np.concatenate(([0.0], t_values))
-    widths = np.diff(edges)
-    n = 16
-    prev = None
-    while n <= (1 << 18):
-        nodes = edges[:-1, np.newaxis] + widths[:, np.newaxis] * np.linspace(0.0, 1.0, n + 1)
-        vals = func(nodes.ravel()).reshape(nodes.shape + (-1,))
-        simpson = np.ones(n + 1)
-        simpson[1:-1:2] = 4.0
-        simpson[2:-1:2] = 2.0
-        panels = np.einsum("j,ijk->ik", simpson, vals) * (widths / (3.0 * n))[:, np.newaxis]
-        cum = np.cumsum(panels, axis=0)
-        if prev is not None:
-            scale = max(1.0, float(np.max(np.abs(cum))))
-            if float(np.max(np.abs(cum - prev))) <= tol * scale:
-                return cum
-        prev = cum
-        n *= 2
-    raise AssertionError("reference time integral did not converge")
-
-
 _KNOTS = (0.0, 0.7, 1.3, 2.2, 3.1, 4.4, 5.0)
 _MODELS = {
     "powerlaw": (EXPANDING, np.linspace(0.0, 5.0, 6)),
@@ -314,12 +291,57 @@ _MODELS = {
 }
 
 
+def _exact_drift(rel, model, p, ts):
+    """W(t, p) = int_0^t v(q)/R dt' with q = p R(0)/R(t'), in closed form.
+
+    On R = 1 + t, dW = -v(q) dq / q, whose primitive is q/m (nonrel),
+    asinh(q/m) (rel) or sign(q) log|q| (massless). Where R = R_a e^{H (t -
+    t_a)} (the exponential model, each log-linear piece of a table),
+    dW = -v(q) dq / (p R(0) H), so a piece adds (E(q_a) - E(q_b)) / (p R(0) H).
+    """
+    m = rel.mass
+    if model is EXPANDING:
+        prim = {"nonrel": lambda q: q / m, "rel": lambda q: np.arcsinh(q / m),
+                "massless": lambda q: np.sign(q) * np.log(np.abs(q))}[rel.kind.value]
+        return prim(p) - prim(np.outer(1.0 / (1.0 + ts), p))
+    r0 = float(model.scale(0.0))
+    knots = np.asarray(getattr(model, "times", ()), dtype=float)
+    out = np.zeros((len(ts), len(p)))
+    for i, t in enumerate(ts):
+        edges = np.union1d([0.0, t], knots[(knots > 0.0) & (knots < t)])
+        for a, b in zip(edges[:-1], edges[1:]):
+            ra, rb = float(model.scale(a)), float(model.scale(b))
+            hubble = math.log(rb / ra) / (b - a)
+            out[i] += (rel.energy(p * r0 / ra) - rel.energy(p * r0 / rb)) / (p * r0 * hubble)
+    return out
+
+
+def _drift(rel, model, p):
+    r0 = float(model.scale(0.0))
+
+    def func(tp):
+        r = model.scale(tp)[:, np.newaxis]
+        return rel.velocity(p * (r0 / r)) / r
+
+    return func
+
+
 class TestTimeIntegralGrid:
-    def test_each_node_evaluated_once(self):
-        # Three intervals with exact edges: the kept levels plus the new
-        # midpoints are the final grid, each node evaluated in one call; only
-        # an output time between two intervals is a node of both.
-        t_values = np.array([0.5, 1.25, 3.0])
+    @pytest.mark.parametrize("model", sorted(_MODELS))
+    @pytest.mark.parametrize("rel", [NONREL, REL, MASSLESS], ids=["nonrel", "rel", "massless"])
+    def test_drift_integrals_match_exact_drift(self, rel, model):
+        # A table's knots are breakpoints too, as comoving_trace adds them.
+        scale_model, ts = _MODELS[model]
+        knots = np.asarray(getattr(scale_model, "times", ()))
+        ts = np.sort(np.concatenate([ts, knots[(knots > 0.0) & (knots < ts[-1])]]))
+        p = np.array([-2.3, -0.4, 0.7, 1.9])
+        got = cosmology._time_integral_grid(_drift(rel, scale_model, p), ts, len(p))
+        assert np.max(np.abs(got - _exact_drift(rel, scale_model, p, ts))) <= 1e-13
+
+    def test_nodes_avoid_output_times(self):
+        # Every output time is a breakpoint and Gauss-Kronrod nodes lie
+        # strictly inside their panel, so t' <= t masks each column exactly.
+        t_values = np.array([0.0, 0.5, 1.25, 1.25, 3.0])
         seen = []
 
         def func(tp):
@@ -327,61 +349,17 @@ class TestTimeIntegralGrid:
             return np.column_stack([np.exp(np.sin(3.0 * tp)), np.cos(tp)])
 
         cosmology._time_integral_grid(func, t_values, 2)
-        calls = len(seen)
-        n_final = 16 * 2 ** (calls - 1)
         times = np.concatenate(seen)
-        assert calls >= 2
-        assert len(times) == len(t_values) * (n_final + 1)
-        counts = Counter(times.tolist())
-        assert {t for t, c in counts.items() if c > 1} == {0.5, 1.25}
-        assert max(counts.values()) == 2
-        edges = np.concatenate(([0.0], t_values))
-        fractions = np.linspace(0.0, 1.0, n_final + 1)
-        grid = edges[:-1, np.newaxis] + np.diff(edges)[:, np.newaxis] * fractions
-        assert np.array_equal(np.unique(times), np.unique(grid))
+        assert np.all((times > 0.0) & (times < 3.0))
+        assert not np.isin(times, t_values).any()
 
-    @pytest.mark.parametrize("model", sorted(_MODELS))
-    @pytest.mark.parametrize("rel", [NONREL, REL, MASSLESS], ids=["nonrel", "rel", "massless"])
-    def test_drift_integrals_match_reevaluating_grid(self, rel, model, monkeypatch):
-        # Same nodes, same sums in the same order: every W(t, p) is the float
-        # the re-evaluating loop gives.
-        integrate = cosmology._time_integral_grid
-        compared = []
-
-        def both(func, t_values, k):
-            got = integrate(func, t_values, k)
-            compared.append(np.array_equal(got, _reference_time_integral_grid(func, t_values)))
-            return got
-
-        monkeypatch.setattr(cosmology, "_time_integral_grid", both)
-        scale_model, ts = _MODELS[model]
-        comoving_trace(make_minimal(rel, 1.0, 0.5, 0.3), scale_model, ts)
-        assert compared and all(compared)
-
-    def test_nonconvergence_names_last_level(self):
-        # 2^18 panels on [0, 1] do not resolve a period of 3e-6.
-        with pytest.raises(NonConvergence, match=r"at n = 262144 panels per interval the worst "
-                           r"increment [1-9][^ ]* exceeds tol\*scale = 1\.000e-09"):
-            cosmology._time_integral_grid(lambda tp: np.cos(2e6 * tp)[:, np.newaxis], np.array([1.0]), 1)
-
-    def test_zero_width_intervals_get_no_nodes(self):
-        # [0, 1, 1, 5]: the leading [0, 0] and the repeated [1, 1] add
-        # exactly 0, so only [0, 1] and [1, 5] get nodes, n + 1 each.
-        seen = []
-
-        def func(tp):
-            seen.append(tp.copy())
-            return np.column_stack([np.exp(np.sin(3.0 * tp)), np.cos(tp)])
-
+    def test_zero_and_repeated_rows(self):
         t_values = np.array([0.0, 1.0, 1.0, 5.0])
-        got = cosmology._time_integral_grid(func, t_values, 2)
-        n_final = 16 * 2 ** (len(seen) - 1)
-        times = np.concatenate(seen)
-        assert len(times) == 2 * (n_final + 1)
-        assert np.array_equal(np.unique(times), np.union1d(np.linspace(0.0, 1.0, n_final + 1),
-                                                           np.linspace(1.0, 5.0, n_final + 1)))
-        assert np.array_equal(got, _reference_time_integral_grid(func, t_values))
+        got = cosmology._time_integral_grid(
+            lambda tp: np.column_stack([np.cos(tp), np.exp(-tp)]), t_values, 2)
         assert np.all(got[0] == 0.0) and np.array_equal(got[1], got[2])
+        exact = np.column_stack([np.sin(t_values), 1.0 - np.exp(-t_values)])
+        assert np.max(np.abs(got - exact)) <= 1e-14
 
     def test_time_zero_alone_makes_no_call(self):
         def func(tp):
@@ -389,6 +367,24 @@ class TestTimeIntegralGrid:
 
         got = cosmology._time_integral_grid(func, np.array([0.0]), 3)
         assert np.array_equal(got, np.zeros((1, 3)))
+
+    def test_nonconvergence_names_time_integral(self):
+        # 32768 panels on [0, 1] do not resolve a period of 3e-6.
+        with pytest.raises(NonConvergence, match=r"^time integral: adaptive quadrature exhausted"):
+            cosmology._time_integral_grid(lambda tp: np.cos(2e6 * tp)[:, np.newaxis], np.array([1.0]), 1)
+
+    def test_caller_spec_reaches_time_integral(self, monkeypatch):
+        specs = []
+        adaptive = cosmology._adaptive
+
+        def recording(f, lo, hi, spec, **kwargs):
+            specs.append(spec)
+            return adaptive(f, lo, hi, spec, **kwargs)
+
+        monkeypatch.setattr(cosmology, "_adaptive", recording)
+        spec = QuadratureSpec(relative_tolerance=1e-8)
+        comoving_trace(make_minimal(REL, 1.0, 0.5, 0.0), EXPANDING, np.linspace(0.0, 5.0, 6), spec)
+        assert specs and all(s is spec for s in specs)
 
 
 @pytest.mark.parametrize("hubble", [-200.0, 200.0])

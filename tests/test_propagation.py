@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -187,6 +188,22 @@ def test_lattice_oracle_row_with_far_sites(t):
     pointwise = np.array([evolve_quadrature(pk, xv, t).value for xv in x])
     assert np.all(np.abs(batched - pointwise) <= 1e-12)
     assert np.all(np.abs(batched - evolve_closed(pk, x, t)) <= 1e-12)
+
+
+def test_lattice_oracle_calls_bounded_in_size():
+    # 64 sites out to x = 8000 start the trapezoid sum at 32768 nodes; each
+    # level is evaluated in calls of at most 2^16 values, so the block's
+    # 64 columns never sit at every node at once.
+    pk = make_minimal(LATTICE, 1.0, 0.0, 0.0)
+    x = np.round(np.linspace(-8000.0, 8000.0, 64))
+    tracemalloc.start()
+    try:
+        oracle = evolve_quadrature(pk, x, 1.0).value
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20
+    assert np.all(np.abs(oracle - evolve_closed(pk, x, 1.0)) <= 1e-12)
 
 
 def test_empty_oracle_row(monkeypatch):
