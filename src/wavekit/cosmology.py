@@ -5,9 +5,8 @@ momentum p_rho; physical momentum p = p_rho / R(t) is red-shifted as the
 universe grows. Packets are specified in physical momentum at t = 0 and
 carried forward through the conserved p_rho = p R(0). A comoving trace is
 therefore one momentum quadrature over the t = 0 packet: its weights carry
-the per-momentum time integral W(t, p) for every output time, all of them
-one adaptive Gauss-Kronrod integral over [0, max t] with a breakpoint at
-each output time.
+the per-momentum time integral W(t, p) for every output time: adaptive
+Gauss-Kronrod integrals over the intervals between output times, summed.
 """
 
 from __future__ import annotations
@@ -34,8 +33,8 @@ __all__ = [
     "comoving_trace",
 ]
 
-# Momenta per time integral: its panel store holds a column per momentum
-# and output time, so blocks bound its memory.
+# Momenta per time integral: its panel store holds a column per momentum,
+# so blocks bound its memory.
 _TIME_BLOCK = 42
 
 
@@ -163,24 +162,21 @@ def mean_velocity(packet, model, t, spec=DEFAULT_SPEC):
 def _time_integral_grid(func, t_values, k, spec=DEFAULT_SPEC):
     """Cumulative time integrals int_0^t func dt' at each sorted t in t_values.
 
-    ``func`` maps an array of times (N,) to real values (N, k). One adaptive
-    Gauss-Kronrod integral over [0, max t], with a breakpoint at every t,
-    has a column per (t, momentum): ``func`` masked to t' <= t. Every node
-    lies strictly inside a panel, so the mask is exact; a row for t = 0 is
-    exactly 0, repeated times give equal rows and all-zero t_values make no
-    call. Returns shape (len(t_values), k).
+    ``func`` maps an array of times (N,) to real values (N, k). Each
+    positive-width interval between consecutive times (the first from 0) is
+    one adaptive Gauss-Kronrod integral of width k, and the rows are their
+    running sums: a row for t = 0 is exactly 0, repeated times give equal
+    rows and zero-width intervals make no call. Returns shape
+    (len(t_values), k).
     """
-    if not t_values[-1] > 0.0:
-        return np.zeros((len(t_values), k))
-
-    def masked(tp):
-        return np.where((tp[:, np.newaxis] <= t_values)[:, :, np.newaxis], func(tp)[:, np.newaxis], 0.0)
-
-    try:
-        value, _ = _adaptive(masked, 0.0, t_values[-1], spec, breakpoints=t_values)
-    except NonConvergence as exc:
-        raise NonConvergence("time integral: %s" % exc, exc.value, exc.abs_error) from None
-    return value.real
+    steps = np.zeros((len(t_values), k))
+    edges = np.concatenate([[0.0], t_values])
+    for i in np.flatnonzero(edges[1:] > edges[:-1]):
+        try:
+            steps[i] = _adaptive(func, edges[i], edges[i + 1], spec)[0].real
+        except NonConvergence as exc:
+            raise NonConvergence("time integral: %s" % exc, exc.value, exc.abs_error) from None
+    return np.cumsum(steps, axis=0)
 
 
 def comoving_trace(packet, model, t_values, spec=DEFAULT_SPEC):
@@ -191,7 +187,8 @@ def comoving_trace(packet, model, t_values, spec=DEFAULT_SPEC):
     <rho^2>(t) = <x^2>(0)/R(0)^2 + (2/R(0)) Re<W x> + <W^2>, with the
     per-momentum weight W(t, p) = int_0^t v(p R(0)/R(t'))/R(t') dt'. All of
     them, for all output times, come from one p-quadrature whose weights
-    take W at every t from one adaptive time integral.
+    take W at every t from one adaptive time integral per interval between
+    output times.
     """
     _check_kind(packet)
     t_values = np.asarray(t_values, dtype=float)
@@ -208,8 +205,8 @@ def comoving_trace(packet, model, t_values, spec=DEFAULT_SPEC):
     rt = _scale(model, t_values)
     k = len(t_values)
     # A table's R is only piecewise smooth: its knots inside the traced
-    # range become extra breakpoints of the time integral, so no panel
-    # straddles a kink; only the requested rows are kept.
+    # range become extra interval edges of the time integral, so no
+    # interval straddles a kink; only the requested rows are kept.
     grid, rows = t_values, slice(None)
     if isinstance(model, TabulatedScale):
         knots = np.asarray(model.times, dtype=float)

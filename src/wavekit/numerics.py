@@ -354,10 +354,13 @@ def _periodic(f, period, spec, points=16):
     """Trapezoid sum of a smooth periodic ``f`` over one period from
     ``points`` nodes, doubled until the increment meets the tolerance;
     returns (value, err) arrays. ``points`` must exceed twice the
-    integrand's highest frequency, or two doublings can alias alike. A
-    one-node first call tells the rule the integrand's width; each level's
-    nodes are then evaluated in calls of at most ``_CALL_ELEMENTS`` output
-    values."""
+    integrand's highest frequency, or two doublings can alias alike. Each
+    level's nodes are evaluated in calls of at most ``_CALL_ELEMENTS``
+    output values. A first level can itself be too large for one call (the
+    lattice oracle starts far sites at 32768 nodes), so a deliberate
+    one-node probe first tells the rule the integrand's width. Its value is
+    dropped: reusing it would split a level that fits one call into two
+    sums and move the float that level's ``ndarray.mean`` gives."""
     if points > _PERIODIC_MAX_POINTS:
         raise NonConvergence("periodic rule would start above %d points" % _PERIODIC_MAX_POINTS)
     a = -0.5 * period

@@ -1,6 +1,7 @@
 """FRW red-shift laws, conservation identities, and comoving traces."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -246,9 +247,9 @@ class TestComovingTrace:
         assert len(calls) == 1
 
     def test_time_integral_sees_bounded_momentum_blocks(self, monkeypatch):
-        # The time integral's panel store holds a column per momentum and
-        # output time, so however many momenta an adaptive round hands over,
-        # one time integral takes at most a block of them.
+        # The time integral's panel store holds a column per momentum, so
+        # however many momenta an adaptive round hands over, one time
+        # integral takes at most a block of them.
         widths = []
         integrate = cosmology._time_integral_grid
 
@@ -264,6 +265,37 @@ class TestComovingTrace:
         pk = make_minimal(REL, 1.0, 0.5, 0.0)
         comoving_trace(pk, EXPANDING, np.linspace(0.0, 5.0, 6))
         assert max(widths) == 42
+
+    @pytest.mark.parametrize("grid", ["times", "knots"])
+    def test_many_grid_times_bounded_in_memory(self, grid):
+        # Hundreds of output times or table knots make hundreds of
+        # intervals, each its own integral of one block's width, so memory
+        # does not grow with the square of their number.
+        if grid == "times":
+            pk, model, ts = make_minimal(REL, 1.0, 0.5, -0.7), EXPANDING, np.linspace(0.0, 5.0, 400)
+        else:
+            knots = np.linspace(0.0, 5.0, 401)
+            pk = make_minimal(NONREL, 1.0, 0.5, 0.0)
+            model, ts = TabulatedScale(tuple(knots), tuple(1.0 + knots**1.3)), np.array([0.0, 2.5, 5.0])
+        tracemalloc.start()
+        try:
+            trace = comoving_trace(pk, model, ts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20
+        if grid == "times":
+            rho, rho2 = _exact_rel_moments(pk, ts)
+            assert np.max(np.abs(trace.mean_rho - rho)) <= 1e-9
+            assert np.max(np.abs(trace.mean_rho2 - rho2)) <= 1e-9
+        else:
+            # Nonrel drift (beta/alpha) int_0^t dt'/R^2: on a log-linear piece
+            # R = R_a e^{H (t - t_a)} it adds (R_a^-2 - R_b^-2) / (2 H).
+            r = 1.0 + knots**1.3
+            piece = (r[:-1] ** -2 - r[1:] ** -2) * np.diff(knots) / (2.0 * np.log(r[1:] / r[:-1]))
+            cum = np.concatenate([[0.0], np.cumsum(piece)])
+            drift = trace.mean_rho - trace.mean_rho[0]
+            assert np.max(np.abs(drift - 0.5 * cum[[0, 200, 400]])) <= 1e-12
 
     def test_input_validation(self):
         pk = make_minimal(REL, 1.0, 0.0, 0.0)
@@ -339,8 +371,8 @@ class TestTimeIntegralGrid:
         assert np.max(np.abs(got - _exact_drift(rel, scale_model, p, ts))) <= 1e-13
 
     def test_nodes_avoid_output_times(self):
-        # Every output time is a breakpoint and Gauss-Kronrod nodes lie
-        # strictly inside their panel, so t' <= t masks each column exactly.
+        # Each interval between output times is its own integral, whose
+        # Gauss-Kronrod nodes lie strictly inside their panel.
         t_values = np.array([0.0, 0.5, 1.25, 1.25, 3.0])
         seen = []
 
