@@ -25,7 +25,7 @@ __all__ = [
 ]
 
 
-def evolved_moments(packet, t, m0=None):
+def evolved_moments(packet, t, m0=None, spec=DEFAULT_SPEC):
     """(mass, <x>, <x^2>) of the evolved coordinate-space density.
 
     Continuum kinds integrate over theta in (-pi/2, pi/2) with
@@ -41,7 +41,7 @@ def evolved_moments(packet, t, m0=None):
     """
     rel = packet.rel
     if m0 is None:
-        m0 = moments_quadrature(packet)
+        m0 = moments_quadrature(packet, spec)
     center = ehrenfest_position(m0, t)
     width = math.sqrt(max(spreading_width_sq(m0, t), 1e-12))
 
@@ -61,7 +61,7 @@ def evolved_moments(packet, t, m0=None):
         dens = np.abs(evolve_closed(packet, center + width * u, t)) ** 2 * width * (1.0 + u * u)
         return dens[:, np.newaxis] * np.stack([np.ones_like(u), (1.0 + u) ** 2, (1.0 - u) ** 2], axis=1)
 
-    sums, _ = _adaptive(f, -0.5 * math.pi, 0.5 * math.pi, DEFAULT_SPEC, initial_panels=16)
+    sums, _ = _adaptive(f, -0.5 * math.pi, 0.5 * math.pi, spec, initial_panels=16)
     mass, plus, minus = sums.real
     mean_u = 0.25 * (plus - minus)
     second_u = 0.5 * (plus + minus) - mass

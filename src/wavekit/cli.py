@@ -123,7 +123,7 @@ def _spec_from(cfg):
         raise ConfigError(str(exc))
 
 
-def _packet_from(cfg, spec):
+def _packet_from(cfg):
     kind = cfg.get("dispersion")
     if kind not in _KINDS:
         raise ConfigError("--dispersion must be one of nonrel, lattice, rel, massless")
@@ -139,7 +139,6 @@ def _packet_from(cfg, spec):
             float(alpha),
             float(cfg.get("beta_re", 0.0)),
             float(cfg.get("beta_im", 0.0)),
-            spec,
         )
     except WavekitError as exc:
         raise ConfigError(str(exc))
@@ -157,7 +156,7 @@ def _grid_from(cfg, key, default_min, default_max, default_steps):
 
 
 def _cmd_moments(cfg, spec):
-    packet = _packet_from(cfg, spec)
+    packet = _packet_from(cfg)
     method = cfg.get("method", "both")
     closed = moments_closed_form(packet, spec) if method in ("closed", "both") else None
     quad = moments_quadrature(packet, spec) if method in ("quadrature", "both") else None
@@ -197,7 +196,7 @@ def _density_rows(grid):
 
 
 def _cmd_evolve(cfg, spec):
-    packet = _packet_from(cfg, spec)
+    packet = _packet_from(cfg)
     xs = _grid_from(cfg, "x", -10.0, 10.0, 201)
     ts = _grid_from(cfg, "t", 0.0, 5.0, 6)
     method = cfg.get("method", "closed")
@@ -215,14 +214,14 @@ def _cmd_evolve(cfg, spec):
 
 
 def _cmd_spread(cfg, spec):
-    packet = _packet_from(cfg, spec)
+    packet = _packet_from(cfg)
     ts = _grid_from(cfg, "t", 0.0, 5.0, 6)
     m0 = moments_quadrature(packet, spec)
     rows = []
     worst = 0.0
     for t in ts:
         analytic = spreading_width_sq(m0, float(t))
-        _, mean, second = evolved_moments(packet, float(t), m0)
+        _, mean, second = evolved_moments(packet, float(t), m0, spec)
         from_grid = second - mean * mean
         diff = abs(analytic - from_grid)
         worst = max(worst, diff / max(analytic, 1e-30))
@@ -235,7 +234,7 @@ def _cmd_spread(cfg, spec):
 
 
 def _cmd_boost(cfg, spec):
-    packet = _packet_from(cfg, spec)
+    packet = _packet_from(cfg)
     u = cfg.get("boost_u")
     if u is None:
         raise ConfigError("--boost-u is required")
@@ -301,7 +300,7 @@ def _model_from(cfg):
 
 
 def _cmd_cosmo(cfg, spec):
-    packet = _packet_from(cfg, spec)
+    packet = _packet_from(cfg)
     model = _model_from(cfg)
     ts = _grid_from(cfg, "t", 0.0, 5.0, 6)
     trace = comoving_trace(packet, model, ts, spec)

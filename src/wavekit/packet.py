@@ -2,7 +2,9 @@
 
 In momentum space a minimal packet is Phi(p) = A exp(-alpha E(p) + beta p)
 with alpha > 0 and beta = beta_r + i beta_i. The normalization convention is
-(1/2pi) int |Phi(p)|^2 dp = 1 with A real positive.
+(1/2pi) int |Phi(p)|^2 dp = 1 with A real positive. A is the paper's
+closed form for each kind (``closed_form_norm_constant``); the test suite
+checks it against a quadrature of |Phi|^2.
 
 Every momentum integral over a packet runs over ``density_window``: the
 level set of the known log |Phi|^2 = 2 (beta_r p - alpha E(p)) + const at
@@ -148,62 +150,55 @@ def expectation_many(packet, weight, spec=DEFAULT_SPEC):
 
 
 def closed_form_norm_constant(rel, alpha, beta_r):
-    """Closed-form normalization A where one exists, else None."""
-    if rel.kind is Kind.NON_RELATIVISTIC:
-        m = rel.mass
-        inv_a2 = math.sqrt(m / (4.0 * math.pi * alpha)) * math.exp(m * beta_r**2 / alpha)
-        return 1.0 / math.sqrt(inv_a2)
-    if rel.kind is Kind.LATTICE:
-        a = rel.lattice_spacing
-        arg = 2.0 * alpha / (rel.mass * a * a)
-        i0 = float(_bessel_i_vec(0, arg)[0].real)
-        return 1.0 / math.sqrt(i0 / a)
-    if rel.kind is Kind.RELATIVISTIC:
-        m = rel.mass
-        s = math.sqrt(alpha * alpha - beta_r * beta_r)
-        k1 = _bessel_k01_vec(2.0 * m * s)[1].real
-        inv_a2 = m * alpha * float(k1[0]) / (math.pi * s)
-        return 1.0 / math.sqrt(inv_a2)
-    if rel.kind is Kind.MASSLESS:
-        return math.sqrt(2.0 * math.pi * (alpha**2 - beta_r**2) / alpha)
-    return None
+    """Normalization A of the minimal packet from the paper's closed form of
+    1/A^2 = (1/2pi) int exp(-2 alpha E + 2 beta_r p) dp: a Gaussian for the
+    non-relativistic kind, I_0(2 alpha / m a^2) / a on the lattice,
+    m alpha K_1(2 m s) / (pi s) with s^2 = alpha^2 - beta_r^2 for the
+    relativistic kind, and alpha / (2 pi s^2) massless.
+
+    ``OverflowSignal`` where 1/A^2 leaves the float range; ``InvalidParams``
+    where A^2 is not a finite positive float (1/A^2 underflows to 0).
+    """
+    m = rel.mass
+    with np.errstate(all="ignore"):
+        if rel.kind is Kind.NON_RELATIVISTIC:
+            inv_a2 = math.sqrt(m / (4.0 * math.pi * alpha)) * np.exp(m * beta_r * beta_r / alpha)
+        elif rel.kind is Kind.LATTICE:
+            a = rel.lattice_spacing
+            inv_a2 = _bessel_i_vec(0, 2.0 * alpha / (m * a * a))[0].real / a
+        elif rel.kind is Kind.RELATIVISTIC:
+            s = math.sqrt(alpha * alpha - beta_r * beta_r)
+            inv_a2 = m * alpha * _bessel_k01_vec(2.0 * m * s)[1][0].real / (math.pi * s)
+        else:  # massless
+            inv_a2 = alpha / (2.0 * math.pi * (alpha * alpha - beta_r * beta_r))
+    inv_a2 = float(inv_a2)
+    if not math.isfinite(inv_a2):
+        raise OverflowSignal("1/A^2 of the packet leaves the float range")
+    norm_a = 1.0 / math.sqrt(inv_a2) if inv_a2 > 0.0 else math.inf
+    if not (0.0 < norm_a * norm_a < math.inf):
+        raise InvalidParams("A^2 of the packet is not a finite positive float")
+    return norm_a
 
 
-def make_minimal(rel, alpha, beta_r=0.0, beta_i=0.0, spec=DEFAULT_SPEC):
+def make_minimal(rel, alpha, beta_r=0.0, beta_i=0.0):
     """Construct a normalized minimal uncertainty packet.
 
-    The stored normalization comes from quadrature of |Phi|^2; the
-    closed-form normalizations, where they exist, are cross-checked against
-    it in the test suite.
+    The stored A is ``closed_form_norm_constant``; no quadrature runs. The
+    test suite checks it against a quadrature of |Phi|^2.
     """
     alpha = float(alpha)
     beta_r = float(beta_r)
     beta_i = float(beta_i)
     _validate_params(rel, alpha, beta_r, beta_i)
-    probe = PacketParams(rel, alpha, beta_r, beta_i, norm_A=1.0)
-    vals, _ = expectation_many(probe, lambda p: np.ones((len(p), 1)), spec)
-    norm_sq = float(np.real(vals[0]))
-    if not (norm_sq > 0.0 and math.isfinite(norm_sq)):
-        raise InvalidParams("packet is not normalizable with these parameters")
-    return PacketParams(rel, alpha, beta_r, beta_i, norm_A=1.0 / math.sqrt(norm_sq))
+    return PacketParams(rel, alpha, beta_r, beta_i, closed_form_norm_constant(rel, alpha, beta_r))
 
 
 def _width_of(rel, alpha, target_v, spec):
-    """Position uncertainty of the packet with <v> = target_v centred at
-    x = 0 (beta_i = 0).
+    """Closed-form position uncertainty of the packet with <v> = target_v
+    centred at x = 0 (beta_i = 0)."""
+    from .moments import moments_closed_form  # moments imports this module
 
-    There x Phi = i(beta_r - alpha v) Phi and <x> = 0, so
-    Dx^2 = <(beta_r - alpha v)^2>.
-    """
-    beta_r = alpha * target_v
-    packet = make_minimal(rel, alpha, beta_r, 0.0, spec)
-
-    def w(p):
-        d = beta_r - alpha * rel.velocity(p)
-        return (d * d)[:, np.newaxis]
-
-    vals, _ = expectation_many(packet, w, spec)
-    return math.sqrt(float(np.real(vals[0])))
+    return moments_closed_form(make_minimal(rel, alpha, alpha * target_v), spec).width_x
 
 
 def solve_parameters(rel, targets, mode="alpha", spec=DEFAULT_SPEC):
@@ -213,8 +208,9 @@ def solve_parameters(rel, targets, mode="alpha", spec=DEFAULT_SPEC):
     domain gives <v> = beta_r / alpha for every kind, so beta_r is
     ``alpha * targets.mean_velocity`` without a search. ``mode='alpha'``
     takes ``targets.width_parameter`` as alpha directly. ``mode='width'``
-    brackets alpha and bisects until the quadrature position uncertainty
-    matches the target; each step builds one packet and runs one quadrature.
+    brackets alpha and bisects until the closed-form position uncertainty
+    matches the target; ``spec`` is the tolerance of the relativistic K_0
+    integral in it.
     """
     if mode not in ("alpha", "width"):
         raise InvalidInput("mode must be 'alpha' or 'width'")
@@ -233,7 +229,7 @@ def solve_parameters(rel, targets, mode="alpha", spec=DEFAULT_SPEC):
     beta_i = -float(targets.mean_position)
     if mode == "alpha":
         alpha = float(targets.width_parameter)
-        return make_minimal(rel, alpha, alpha * v, beta_i, spec)
+        return make_minimal(rel, alpha, alpha * v, beta_i)
 
     target_dx = float(targets.width_parameter)
     lo = hi = 1.0
@@ -258,7 +254,7 @@ def solve_parameters(rel, targets, mode="alpha", spec=DEFAULT_SPEC):
         mid = 0.5 * (lo + hi)
         w_mid = _width_of(rel, mid, v, spec)
         if abs(w_mid - target_dx) <= 1e-8 * target_dx:
-            return make_minimal(rel, mid, mid * v, beta_i, spec)
+            return make_minimal(rel, mid, mid * v, beta_i)
         if w_mid < target_dx:
             lo = mid
         else:

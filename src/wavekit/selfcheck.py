@@ -75,7 +75,7 @@ def _kind_rel(kind):
     return DispersionRelation.massless()
 
 
-def reference_packets(spec=DEFAULT_SPEC):
+def reference_packets():
     """The acceptance parameter grid: alpha in {0.5, 1, 2} x beta_r in
     {0, 0.25 alpha, 0.5 alpha} per kind (lattice restricted to beta_r = 0)."""
     packets = []
@@ -84,7 +84,7 @@ def reference_packets(spec=DEFAULT_SPEC):
         for alpha in (0.5, 1.0, 2.0):
             fracs = (0.0,) if kind == "lattice" else (0.0, 0.25, 0.5)
             for frac in fracs:
-                packets.append((kind, make_minimal(rel, alpha, frac * alpha, 0.0, spec)))
+                packets.append((kind, make_minimal(rel, alpha, frac * alpha, 0.0)))
     return packets
 
 
@@ -96,7 +96,7 @@ def check_moments_oracle(spec=DEFAULT_SPEC):
     """Criterion 1: every closed-form moment matches quadrature to 1e-8."""
     worst = 0.0
     where = ""
-    for kind, pk in reference_packets(spec):
+    for kind, pk in reference_packets():
         mq = moments_quadrature(pk, spec)
         mc = moments_closed_form(pk, spec)
         for field in mq.FIELDS:
@@ -112,19 +112,19 @@ def check_moments_oracle(spec=DEFAULT_SPEC):
 def check_saturation(spec=DEFAULT_SPEC):
     """Criterion 2: Dx Dv = (1/2)|<d2E/dp2>| to 1e-7 for every packet."""
     worst = 0.0
-    for kind, pk in reference_packets(spec):
+    for kind, pk in reference_packets():
         mq = moments_quadrature(pk, spec)
         residual = abs(mq.width_x * mq.width_v - uncertainty_bound(pk, spec))
         worst = max(worst, residual)
     return _result("saturation", worst, 1e-7)
 
 
-def _spreading_packets(spec):
+def _spreading_packets():
     return [
-        ("nonrel", make_minimal(_kind_rel("nonrel"), 1.0, 0.5, 0.0, spec)),
-        ("lattice", make_minimal(_kind_rel("lattice"), 1.0, 0.0, 0.0, spec)),
-        ("rel", make_minimal(_kind_rel("rel"), 1.0, 0.5, 0.0, spec)),
-        ("massless", make_minimal(_kind_rel("massless"), 1.0, 0.5, 0.0, spec)),
+        ("nonrel", make_minimal(_kind_rel("nonrel"), 1.0, 0.5, 0.0)),
+        ("lattice", make_minimal(_kind_rel("lattice"), 1.0, 0.0, 0.0)),
+        ("rel", make_minimal(_kind_rel("rel"), 1.0, 0.5, 0.0)),
+        ("massless", make_minimal(_kind_rel("massless"), 1.0, 0.5, 0.0)),
     ]
 
 
@@ -132,10 +132,10 @@ def check_spreading_law(spec=DEFAULT_SPEC):
     """Criterion 3: grid-evolved Dx(t)^2 and <x>(t) match the closed laws."""
     worst_var = 0.0
     worst_drift = 0.0
-    for kind, pk in _spreading_packets(spec):
+    for kind, pk in _spreading_packets():
         m0 = moments_quadrature(pk, spec)
         for t in (0.0, 1.0, 2.0, 5.0):
-            _, mean, second = evolved_moments(pk, t, m0)
+            _, mean, second = evolved_moments(pk, t, m0, spec)
             var = second - mean * mean
             pred_var = spreading_width_sq(m0, t)
             pred_mean = ehrenfest_position(m0, t)
@@ -160,7 +160,7 @@ def check_continuation(spec=DEFAULT_SPEC):
     """Criterion 4: evolve_closed vs evolve_quadrature pointwise <= 1e-6."""
     worst = 0.0
     where = ""
-    for kind, pk in _spreading_packets(spec):
+    for kind, pk in _spreading_packets():
         m0 = moments_quadrature(pk, spec)
         xs = _continuation_grid(kind, m0)
         for t in (0.0, 0.5, 1.0, 2.0, 5.0):
@@ -207,7 +207,7 @@ def check_lorentz_suite(spec=DEFAULT_SPEC):
     """Criterion 6: boosted norm, linear <E>/<p> maps, parameter invariant,
     strict non-minimality, and the infinitesimal generator."""
     rel = DispersionRelation.relativistic(1.0)
-    pk = make_minimal(rel, 1.0, 0.0, 0.0, spec)
+    pk = make_minimal(rel, 1.0, 0.0, 0.0)
     m0 = moments_quadrature(pk, spec)
     u = 0.6
     gamma = 1.0 / math.sqrt(1.0 - u * u)
@@ -261,20 +261,20 @@ def figure_grid(which, spec=DEFAULT_SPEC):
     if which == 1:
         rel = _kind_rel("nonrel")
         xs = np.linspace(-8.0, 14.0, 441)
-        packets = [make_minimal(rel, 1.0, b, 0.0, spec) for b in (0.0, 0.5)]
+        packets = [make_minimal(rel, 1.0, b, 0.0) for b in (0.0, 0.5)]
     elif which == 2:
         rel = _kind_rel("lattice")
         xs = np.arange(-25.0, 26.0)
-        packets = [make_minimal(rel, 1.0, 0.0, 0.0, spec)]
+        packets = [make_minimal(rel, 1.0, 0.0, 0.0)]
     elif which == 3:
         rel = DispersionRelation.relativistic(1.0)
         # Wide enough to hold the full light cone at t = 10 plus tails.
         xs = np.linspace(-14.0, 16.0, 601)
-        packets = [make_minimal(rel, 1.0, b, 0.0, spec) for b in (0.0, 0.5)]
+        packets = [make_minimal(rel, 1.0, b, 0.0) for b in (0.0, 0.5)]
     elif which == 4:
         rel = _kind_rel("massless")
         xs = np.linspace(-12.0, 12.0, 481)
-        packets = [make_minimal(rel, 1.0, b, 0.0, spec) for b in (0.0, 0.5)]
+        packets = [make_minimal(rel, 1.0, b, 0.0) for b in (0.0, 0.5)]
     else:
         raise ValueError("figure index must be 1..4")
     return [(pk, density_grid(pk, xs, t_vals, "closed", spec)) for pk in packets]
@@ -319,7 +319,7 @@ def check_cosmology(spec=DEFAULT_SPEC):
     expo = ExponentialScale(hubble=0.3, reference=2.0)
 
     # Massless constancy: mean_velocity against a quadrature of sign(p).
-    pk_ml = make_minimal(_kind_rel("massless"), 1.0, 0.5, 0.0, spec)
+    pk_ml = make_minimal(_kind_rel("massless"), 1.0, 0.5, 0.0)
     vals, _ = expectation_many(pk_ml, lambda p: np.sign(p)[:, np.newaxis], spec)
     v_ml = float(vals[0].real)
     worst_ml = 0.0
@@ -345,7 +345,7 @@ def check_cosmology(spec=DEFAULT_SPEC):
     # Non-relativistic red-shift: mean_velocity against a quadrature of
     # the red-shifted velocity p R(0) / (m R(t)); the trace drift is
     # int_0^t R(0) dt'/R(t')^2 = t / (1 + t).
-    pk_nr = make_minimal(_kind_rel("nonrel"), 1.0, 0.5, 0.0, spec)
+    pk_nr = make_minimal(_kind_rel("nonrel"), 1.0, 0.5, 0.0)
     worst_nr = 0.0
     for t in (1.0, 3.0):
         shift = float(model.scale(0.0)) / float(model.scale(t))
@@ -370,7 +370,7 @@ def check_cosmology(spec=DEFAULT_SPEC):
             worst_cl = max(worst_cl, abs(v * g * r - v0 * g0))
 
     # Static universe reduces to the flat spreading law.
-    pk_rel = make_minimal(DispersionRelation.relativistic(1.0), 1.0, 0.5, 0.0, spec)
+    pk_rel = make_minimal(DispersionRelation.relativistic(1.0), 1.0, 0.5, 0.0)
     static = PowerLawScale(exponent=0.0, reference=2.0, t_scale=1.0)
     trace = comoving_trace(pk_rel, static, np.array([0.0, 1.0, 2.0, 5.0]), spec)
     m0 = moments_quadrature(pk_rel, spec)

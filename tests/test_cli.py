@@ -384,6 +384,11 @@ def test_tiny_scale_factor():
     )
 
 
+def test_float_edge_packet():
+    # K_1(720) is subnormal, so A^2 = pi s / (m alpha K_1) overflows.
+    _assert_config_error(run_cli("moments", "--dispersion", "rel", "--mass", "1", "--alpha", "360"))
+
+
 def test_header_only_model_file(tmp_path):
     path = tmp_path / "model.csv"
     path.write_text("t,R\n")

@@ -125,7 +125,7 @@ def test_zero_absolute_floor():
     spec = QuadratureSpec(absolute_floor=0.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        m = moments_quadrature(make_minimal(REL, 1, 0.5, 0, spec), spec)
+        m = moments_quadrature(make_minimal(REL, 1, 0.5, 0), spec)
     ref = moments_quadrature(make_minimal(REL, 1, 0.5, 0))
     assert m.mean_x == 0.0
     for name in MomentSet.FIELDS[1:]:

@@ -1,22 +1,24 @@
 """Packet construction, normalization, and parameter solving."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from wavekit import moments, numerics, packet
 from wavekit.dispersion import DispersionRelation
 from wavekit.errors import (
     DomainError,
     InvalidParams,
     LatticePeriodicityError,
+    OverflowSignal,
     Unsatisfiable,
 )
 from wavekit.moments import moments_quadrature, uncertainty_bound
 from wavekit.numerics import DEFAULT_SPEC, _tail_budget
 from wavekit.packet import (
     MomentTargets,
-    closed_form_norm_constant,
     density_window,
     expectation_many,
     make_minimal,
@@ -27,6 +29,9 @@ NONREL = DispersionRelation.non_relativistic(3.0)
 LATTICE = DispersionRelation.lattice(3.0, 1.0)
 REL = DispersionRelation.relativistic(1.0)
 MASSLESS = DispersionRelation.massless()
+NONREL_M1 = DispersionRelation.non_relativistic(1.0)
+LATTICE_M1 = DispersionRelation.lattice(1.0, 1.0)
+REL_M1 = DispersionRelation.relativistic(1.0)
 
 # Frozen: pi*sqrt(3)/(2 K1(sqrt 3)) and (4 pi / 3)^(1/4).
 REL_NORM_SQ = 13.580514884483808
@@ -43,19 +48,55 @@ ALL_PACKETS = [
     (MASSLESS, 0.5, 0.2),
 ]
 
+# Packets at the float edge that construct: K_1(704) and K_1(706) near the
+# smallest normal double, I_0(709.6) and exp(705.6) near the largest.
+EDGE_PACKETS = [
+    (REL_M1, 352.0, 0.0),
+    (DispersionRelation.relativistic(0.5), 704.0, 0.0),
+    (DispersionRelation.relativistic(2.0), 176.5, 0.0),
+    (LATTICE_M1, 354.8, 0.0),
+    (NONREL_M1, 1000.0, 840.0),
+    (REL_M1, 400.0, 200.0),
+    (MASSLESS, 1e6, 0.0),
+]
 
-@pytest.mark.parametrize("rel,alpha,beta_r", ALL_PACKETS)
+
+@pytest.mark.parametrize("rel,alpha,beta_r", ALL_PACKETS + EDGE_PACKETS)
 def test_norm_invariant(rel, alpha, beta_r):
-    pk = make_minimal(rel, alpha, beta_r, 0.0)
-    vals, _ = expectation_many(pk, lambda p: np.ones((len(p), 1)))
-    assert float(vals[0].real) == pytest.approx(1.0, abs=1e-10)
+    # The closed-form A against a quadrature of |Phi|^2.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pk = make_minimal(rel, alpha, beta_r, 0.0)
+        vals, _ = expectation_many(pk, lambda p: np.ones((len(p), 1)))
+    assert float(vals[0].real) == pytest.approx(1.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("rel,alpha,beta_r", ALL_PACKETS)
-def test_closed_form_norm_agreement(rel, alpha, beta_r):
-    pk = make_minimal(rel, alpha, beta_r, 0.0)
-    closed = closed_form_norm_constant(rel, alpha, beta_r)
-    assert abs(pk.norm_A - closed) <= 1e-9 * closed
+@pytest.mark.parametrize("rel", [NONREL, LATTICE, REL, MASSLESS], ids=["nonrel", "lattice", "rel", "massless"])
+def test_make_minimal_runs_no_quadrature(monkeypatch, rel):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("make_minimal ran a quadrature")
+
+    monkeypatch.setattr(packet, "expectation_many", forbidden)
+    monkeypatch.setattr(numerics, "_adaptive", forbidden)
+    pk = make_minimal(rel, 1.0, 0.0 if rel is LATTICE else 0.5, 0.0)
+    assert pk.norm_A == packet.closed_form_norm_constant(rel, pk.alpha, pk.beta_r)
+
+
+@pytest.mark.parametrize(
+    "rel,alpha,beta_r,error",
+    [
+        pytest.param(REL_M1, 800.0, 400.0, InvalidParams, id="rel-K1-underflow"),
+        pytest.param(REL_M1, 360.0, 0.0, InvalidParams, id="rel-A2-overflow"),
+        pytest.param(LATTICE_M1, 355.0, 0.0, OverflowSignal, id="lattice-355"),
+        pytest.param(LATTICE_M1, 500.0, 0.0, OverflowSignal, id="lattice-500"),
+        pytest.param(NONREL_M1, 1e6, 3e5, OverflowSignal, id="nonrel-exp-overflow"),
+    ],
+)
+def test_float_edge_typed_errors(rel, alpha, beta_r, error):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error):
+            make_minimal(rel, alpha, beta_r, 0.0)
 
 
 def test_relativistic_norm_value():
@@ -142,8 +183,14 @@ class TestSolveParameters:
             pytest.param(LATTICE, 0.0, id="lattice"),
         ],
     )
-    def test_width_mode(self, rel, v):
-        pk = solve_parameters(rel, MomentTargets(v, 0.0, 0.8), mode="width")
+    def test_width_mode(self, monkeypatch, rel, v):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the width solve ran a momentum quadrature")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(packet, "expectation_many", forbidden)
+            patch.setattr(moments, "expectation_many", forbidden)
+            pk = solve_parameters(rel, MomentTargets(v, 0.0, 0.8), mode="width")
         m = moments_quadrature(pk)
         assert m.width_x == pytest.approx(0.8, rel=1e-7)
         assert m.mean_v == pytest.approx(v, abs=1e-9)

@@ -14,6 +14,7 @@ from wavekit.boost import galilean_boost
 from wavekit.dispersion import DispersionRelation
 from wavekit.errors import InvalidInput, LightConeSingular, NonConvergence, NonIntegerSite
 from wavekit.moments import moments_quadrature, spreading_width_sq
+from wavekit.numerics import QuadratureSpec
 from wavekit.packet import make_minimal
 from wavekit.propagation import (
     density_grid,
@@ -302,6 +303,17 @@ def test_evolved_moments_cost(monkeypatch, rel):
                         lambda pk, x, t: points.append(np.size(x)) or closed(pk, x, t))
     evolved_moments(pk, 5.0, m0)
     assert sum(points) <= 2000
+
+
+def test_caller_spec_reaches_evolved_moments(monkeypatch):
+    spec = QuadratureSpec(relative_tolerance=1e-8)
+    pk = make_minimal(REL, 1.0, 0.5)
+    specs = []
+    adaptive = analysis._adaptive
+    monkeypatch.setattr(analysis, "_adaptive", lambda f, lo, hi, s, **kw: specs.append(s) or adaptive(f, lo, hi, s, **kw))
+    mass, _, _ = evolved_moments(pk, 2.0, spec=spec)
+    assert specs == [spec]
+    assert mass == pytest.approx(1.0, abs=1e-7)
 
 
 def test_relativistic_spacelike_point_nonzero():
