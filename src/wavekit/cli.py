@@ -1,11 +1,16 @@
 """Command-line front end.
 
 Subcommands: ``moments``, ``evolve``, ``spread``, ``boost``, ``cosmo``,
-``figures``, ``selfcheck``. Flags may be mirrored in a flat JSON config
-file (flags win); the environment variable WAVEKIT_TOL sets the default
-relative quadrature tolerance. Numeric output is formatted to 15
-significant digits so identical configurations produce byte-identical
-files, and JSON carries exactly the values printed to CSV.
+``figures``, ``selfcheck``. argparse is the one place an input is
+converted, checked and defaulted. A flat JSON config file (``--config``)
+becomes ``--key=value`` tokens placed before the command-line flags, so its
+values meet the flags' own types, choices and errors; a ``null`` value
+counts as absent, and keys the subcommand does not take are ignored. The
+environment variable WAVEKIT_TOL is the default of ``--tol``. Precedence:
+flag, then config file, then WAVEKIT_TOL, then the built-in default.
+Numeric output is formatted to 15 significant digits so identical
+configurations produce byte-identical files, and JSON carries exactly the
+values printed to CSV.
 
 Exit codes: 0 success, 1 selfcheck failure or non-convergence, 2 bad
 configuration.
@@ -63,12 +68,15 @@ def _canon(value):
     return None if value is None else float(_fmt(value))
 
 
-def _write_output(columns, rows, meta, cfg):
+def _write_output(columns, rows, meta, args, path=None):
+    """Write the table to ``path`` (default ``--out``), or to stdout when
+    that is empty."""
+    path = path or args.out
     lines = [",".join(columns)]
     for row in rows:
         lines.append(",".join(_fmt(v) if not isinstance(v, str) else v for v in row))
     csv_text = "\n".join(lines) + "\n"
-    if cfg["format"] == "csv":
+    if args.format == "csv":
         payload = csv_text
     else:
         json_rows = [
@@ -79,9 +87,9 @@ def _write_output(columns, rows, meta, cfg):
             indent=2,
             sort_keys=True,
         ) + "\n"
-    if cfg["out"]:
+    if path:
         try:
-            with open(cfg["out"], "w") as fh:
+            with open(path, "w") as fh:
                 fh.write(payload)
         except OSError as exc:
             raise ConfigError(f"cannot write output: {exc}")
@@ -89,65 +97,48 @@ def _write_output(columns, rows, meta, cfg):
         sys.stdout.write(payload)
 
 
-def _merge_config(args):
-    cfg = {}
-    if args.config:
-        try:
-            with open(args.config) as fh:
-                file_cfg = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config file: {exc}")
-        if not isinstance(file_cfg, dict):
-            raise ConfigError("config file must hold a flat JSON object")
-        cfg.update(file_cfg)
-    for key, value in vars(args).items():
-        if key in ("config", "command") or value is None:
-            continue
-        cfg[key] = value
-    cfg.setdefault("format", "csv")
-    cfg.setdefault("out", "")
-    tol = cfg.get("tol")
-    if tol is None:
-        tol = os.environ.get("WAVEKIT_TOL")
-    cfg["tol"] = float(tol) if tol is not None else 1e-10
-    return cfg
+def _config_tokens(args):
+    """The ``--config`` file's entries as ``--key=value`` tokens for the
+    options of ``args.command``; the ``=`` form keeps a value that starts
+    with ``-`` from reading as an option."""
+    try:
+        with open(args.config) as fh:
+            file_cfg = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read config file: {exc}")
+    if not isinstance(file_cfg, dict):
+        raise ConfigError("config file must hold a flat JSON object")
+    return [
+        f"--{key.replace('_', '-')}={value}"
+        for key, value in file_cfg.items()
+        if key in vars(args) and key not in ("command", "config") and value is not None
+    ]
 
 
-def _spec_from(cfg):
+def _spec_from(args):
     try:
         return QuadratureSpec(
-            relative_tolerance=cfg["tol"],
-            absolute_floor=min(1e-14, cfg["tol"] * 1e-2),
+            relative_tolerance=args.tol,
+            absolute_floor=min(1e-14, args.tol * 1e-2),
         )
     except WavekitError as exc:
         raise ConfigError(str(exc))
 
 
-def _packet_from(cfg):
-    kind = cfg.get("dispersion")
-    if kind not in _KINDS:
+def _packet_from(args):
+    if args.dispersion is None:
         raise ConfigError("--dispersion must be one of nonrel, lattice, rel, massless")
-    mass = float(cfg.get("mass", 1.0))
-    spacing = float(cfg.get("spacing", 1.0))
-    alpha = cfg.get("alpha")
-    if alpha is None:
+    if args.alpha is None:
         raise ConfigError("--alpha is required")
     try:
-        rel = _KINDS[kind](mass, spacing)
-        return make_minimal(
-            rel,
-            float(alpha),
-            float(cfg.get("beta_re", 0.0)),
-            float(cfg.get("beta_im", 0.0)),
-        )
+        rel = _KINDS[args.dispersion](args.mass, args.spacing)
+        return make_minimal(rel, args.alpha, args.beta_re, args.beta_im)
     except WavekitError as exc:
         raise ConfigError(str(exc))
 
 
-def _grid_from(cfg, key, default_min, default_max, default_steps):
-    lo = float(cfg.get(f"{key}_min", default_min))
-    hi = float(cfg.get(f"{key}_max", default_max))
-    steps = int(cfg.get(f"{key}_steps", default_steps))
+def _grid_from(args, key):
+    lo, hi, steps = (getattr(args, f"{key}_{end}") for end in ("min", "max", "steps"))
     if steps < 2:
         raise ConfigError(f"--{key}-steps must be >= 2")
     if not hi > lo:
@@ -155,9 +146,9 @@ def _grid_from(cfg, key, default_min, default_max, default_steps):
     return np.linspace(lo, hi, steps)
 
 
-def _cmd_moments(cfg, spec):
-    packet = _packet_from(cfg)
-    method = cfg.get("method", "both")
+def _cmd_moments(args, spec):
+    packet = _packet_from(args)
+    method = args.method
     closed = moments_closed_form(packet, spec) if method in ("closed", "both") else None
     quad = moments_quadrature(packet, spec) if method in ("quadrature", "both") else None
     rows = []
@@ -176,14 +167,14 @@ def _cmd_moments(cfg, spec):
     residual = source.width_x * source.width_v - bound
     rows.append(("saturation_residual", residual, residual, 0.0))
     meta = {
-        "tolerance": cfg["tol"],
+        "tolerance": args.tol,
         "max_abs_diff": _canon(max_diff),
         "alpha": packet.alpha,
         "beta_r": packet.beta_r,
         "beta_i": packet.beta_i,
         "norm_A": _canon(packet.norm_A),
     }
-    _write_output(("quantity", "closed", "quadrature", "abs_diff"), rows, meta, cfg)
+    _write_output(("quantity", "closed", "quadrature", "abs_diff"), rows, meta, args)
     return 0
 
 
@@ -195,27 +186,24 @@ def _density_rows(grid):
     return rows
 
 
-def _cmd_evolve(cfg, spec):
-    packet = _packet_from(cfg)
-    xs = _grid_from(cfg, "x", -10.0, 10.0, 201)
-    ts = _grid_from(cfg, "t", 0.0, 5.0, 6)
-    method = cfg.get("method", "closed")
-    if method == "both":
-        raise ConfigError("evolve expects --method closed or quadrature")
-    grid = density_grid(packet, xs, ts, method, spec)
+def _cmd_evolve(args, spec):
+    packet = _packet_from(args)
+    xs = _grid_from(args, "x")
+    ts = _grid_from(args, "t")
+    grid = density_grid(packet, xs, ts, args.method, spec)
     masses = [float(np.trapezoid(row, xs)) for row in grid.density]
     meta = {
-        "tolerance": cfg["tol"],
-        "method": method,
+        "tolerance": args.tol,
+        "method": args.method,
         "max_mass_deviation": _canon(max(abs(m - 1.0) for m in masses)),
     }
-    _write_output(("t", "x", "density"), _density_rows(grid), meta, cfg)
+    _write_output(("t", "x", "density"), _density_rows(grid), meta, args)
     return 0
 
 
-def _cmd_spread(cfg, spec):
-    packet = _packet_from(cfg)
-    ts = _grid_from(cfg, "t", 0.0, 5.0, 6)
+def _cmd_spread(args, spec):
+    packet = _packet_from(args)
+    ts = _grid_from(args, "t")
     m0 = moments_quadrature(packet, spec)
     rows = []
     worst = 0.0
@@ -226,20 +214,17 @@ def _cmd_spread(cfg, spec):
         diff = abs(analytic - from_grid)
         worst = max(worst, diff / max(analytic, 1e-30))
         rows.append((t, analytic, from_grid, diff))
-    meta = {"tolerance": cfg["tol"], "max_rel_deviation": _canon(worst)}
-    _write_output(
-        ("t", "width_sq_analytic", "width_sq_grid", "abs_diff"), rows, meta, cfg
-    )
+    meta = {"tolerance": args.tol, "max_rel_deviation": _canon(worst)}
+    _write_output(("t", "width_sq_analytic", "width_sq_grid", "abs_diff"), rows, meta, args)
     return 0
 
 
-def _cmd_boost(cfg, spec):
-    packet = _packet_from(cfg)
-    u = cfg.get("boost_u")
+def _cmd_boost(args, spec):
+    packet = _packet_from(args)
+    u = args.boost_u
     if u is None:
         raise ConfigError("--boost-u is required")
     gamma = BoostParams.lorentz(u).gamma
-    u = float(u)
     m0 = moments_quadrature(packet, spec)
     alpha_b, beta_b = lorentz_boost_params(packet.alpha, packet.beta_r, u)
     wave = boost_minimal_packet(packet, u, spec)
@@ -264,45 +249,36 @@ def _cmd_boost(cfg, spec):
     dv_b = math.sqrt(direct["mean_v2"] - direct["mean_v"] ** 2)
     bound_b = 0.5 * packet.rel.mass**2 * direct["mean_E_m3"]
     rows.append(("uncertainty_excess_b", "", dx_b * dv_b - bound_b, ""))
-    meta = {"tolerance": cfg["tol"], "u": u, "gamma": _canon(gamma)}
-    _write_output(("quantity", "predicted", "recomputed", "abs_diff"), rows, meta, cfg)
+    meta = {"tolerance": args.tol, "u": u, "gamma": _canon(gamma)}
+    _write_output(("quantity", "predicted", "recomputed", "abs_diff"), rows, meta, args)
     return 0
 
 
-def _model_from(cfg):
-    name = cfg.get("model", "powerlaw")
-    r0 = float(cfg.get("r0", 1.0))
-    if name == "powerlaw":
-        return PowerLawScale(
-            exponent=float(cfg.get("exponent", 1.0)),
-            reference=r0,
-            t_scale=float(cfg.get("t_scale", 1.0)),
-        )
-    if name == "exp":
-        return ExponentialScale(hubble=float(cfg.get("hubble", 0.1)), reference=r0)
-    if name == "tabulated":
-        path = cfg.get("model_file")
-        if not path:
-            raise ConfigError("--model tabulated requires --model-file")
-        try:
-            with warnings.catch_warnings():
-                # A file without data rows is reported below, not as a warning.
-                warnings.simplefilter("ignore", UserWarning)
-                data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"cannot read model file: {exc}")
-        if data.size == 0:
-            raise ConfigError("model file has no data rows")
-        if data.shape[1] < 2:
-            raise ConfigError("model file needs two columns: t, R(t)")
-        return TabulatedScale(tuple(data[:, 0]), tuple(data[:, 1]))
-    raise ConfigError("--model must be powerlaw, exp, or tabulated")
+def _model_from(args):
+    if args.model == "powerlaw":
+        return PowerLawScale(exponent=args.exponent, reference=args.r0, t_scale=args.t_scale)
+    if args.model == "exp":
+        return ExponentialScale(hubble=args.hubble, reference=args.r0)
+    if not args.model_file:
+        raise ConfigError("--model tabulated requires --model-file")
+    try:
+        with warnings.catch_warnings():
+            # A file without data rows is reported below, not as a warning.
+            warnings.simplefilter("ignore", UserWarning)
+            data = np.loadtxt(args.model_file, delimiter=",", skiprows=1, ndmin=2)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read model file: {exc}")
+    if data.size == 0:
+        raise ConfigError("model file has no data rows")
+    if data.shape[1] < 2:
+        raise ConfigError("model file needs two columns: t, R(t)")
+    return TabulatedScale(tuple(data[:, 0]), tuple(data[:, 1]))
 
 
-def _cmd_cosmo(cfg, spec):
-    packet = _packet_from(cfg)
-    model = _model_from(cfg)
-    ts = _grid_from(cfg, "t", 0.0, 5.0, 6)
+def _cmd_cosmo(args, spec):
+    packet = _packet_from(args)
+    model = _model_from(args)
+    ts = _grid_from(args, "t")
     trace = comoving_trace(packet, model, ts, spec)
     rows = [
         (t, trace.mean_rho[i], trace.mean_rho2[i], trace.mean_x[i], trace.mean_v[i])
@@ -313,23 +289,20 @@ def _cmd_cosmo(cfg, spec):
         abs(trace.mean_x[0] - m0.mean_x) if float(ts[0]) == 0.0 else None
     )
     meta = {
-        "tolerance": cfg["tol"],
-        "model": cfg.get("model", "powerlaw"),
+        "tolerance": args.tol,
+        "model": args.model,
         "t0_consistency": _canon(t0_residual),
     }
-    _write_output(("t", "mean_rho", "mean_rho2", "mean_x", "mean_v"), rows, meta, cfg)
+    _write_output(("t", "mean_rho", "mean_rho2", "mean_x", "mean_v"), rows, meta, args)
     return 0
 
 
-def _cmd_figures(cfg, spec):
-    which = cfg.get("which", "all")
-    indices = [1, 2, 3, 4] if which == "all" else [int(which)]
-    out = cfg.get("out", "")
-    if len(indices) > 1 and out:
+def _cmd_figures(args, spec):
+    indices = [i for i in (1, 2, 3, 4) if args.which in ("all", str(i))]
+    if len(indices) > 1 and args.out:
         raise ConfigError("--out applies to a single figure; use --out-dir for all")
-    out_dir = cfg.get("out_dir", ".")
-    if not os.path.isdir(out_dir):
-        raise ConfigError(f"--out-dir {out_dir} is not a directory")
+    if not os.path.isdir(args.out_dir):
+        raise ConfigError(f"--out-dir {args.out_dir} is not a directory")
     for idx in indices:
         grids = figure_grid(idx, spec)
         columns = ("beta", "t", "x", "density") if len(grids) > 1 else ("t", "x", "density")
@@ -337,14 +310,13 @@ def _cmd_figures(cfg, spec):
         for pk, grid in grids:
             for row in _density_rows(grid):
                 rows.append((pk.beta_r,) + row if len(grids) > 1 else row)
-        path = out if (out and len(indices) == 1) else os.path.join(out_dir, f"fig{idx}.csv")
-        sub_cfg = dict(cfg, out=path)
-        meta = {"figure": idx, "tolerance": cfg["tol"]}
-        _write_output(columns, rows, meta, sub_cfg)
+        path = args.out or os.path.join(args.out_dir, f"fig{idx}.csv")
+        meta = {"figure": idx, "tolerance": args.tol}
+        _write_output(columns, rows, meta, args, path)
     return 0
 
 
-def _cmd_selfcheck(cfg, spec):
+def _cmd_selfcheck(args, spec):
     results = run_all(spec=spec)
     all_pass = True
     for r in results:
@@ -367,72 +339,78 @@ _COMMANDS = {
 
 
 def _build_parser():
+    """The top-level parser and its subparsers by name. Each option's dest
+    is its name with ``-`` read as ``_``, the form ``_config_tokens`` maps
+    config keys back through."""
     parser = argparse.ArgumentParser(
         prog="wavekit",
         description="Minimal uncertainty wave packets: moments, evolution, boosts, red-shift.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    subparsers = {}
 
-    def add_common(p, grids=False):
+    def add(name, summary, grids=False):
+        p = subparsers[name] = sub.add_parser(name, help=summary)
         p.add_argument("--config", help="flat JSON config file; flags override its keys")
-        p.add_argument("--dispersion", choices=sorted(_KINDS), dest="dispersion")
-        p.add_argument("--mass", type=float, dest="mass")
-        p.add_argument("--spacing", type=float, dest="spacing")
-        p.add_argument("--alpha", type=float, dest="alpha")
-        p.add_argument("--beta-re", type=float, dest="beta_re")
-        p.add_argument("--beta-im", type=float, dest="beta_im")
-        p.add_argument("--tol", type=float, dest="tol")
-        p.add_argument("--format", choices=("csv", "json"), dest="format")
-        p.add_argument("--out", dest="out")
+        p.add_argument("--dispersion", choices=sorted(_KINDS))
+        p.add_argument("--mass", type=float, default=1.0)
+        p.add_argument("--spacing", type=float, default=1.0)
+        p.add_argument("--alpha", type=float)
+        p.add_argument("--beta-re", type=float, default=0.0)
+        p.add_argument("--beta-im", type=float, default=0.0)
+        # A string default passes through type=float like a flag value.
+        p.add_argument("--tol", type=float, default=os.environ.get("WAVEKIT_TOL", "1e-10"))
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        p.add_argument("--out", default="")
         if grids:
-            p.add_argument("--x-min", type=float, dest="x_min")
-            p.add_argument("--x-max", type=float, dest="x_max")
-            p.add_argument("--x-steps", type=int, dest="x_steps")
-            p.add_argument("--t-min", type=float, dest="t_min")
-            p.add_argument("--t-max", type=float, dest="t_max")
-            p.add_argument("--t-steps", type=int, dest="t_steps")
+            p.add_argument("--x-min", type=float, default=-10.0)
+            p.add_argument("--x-max", type=float, default=10.0)
+            p.add_argument("--x-steps", type=int, default=201)
+            p.add_argument("--t-min", type=float, default=0.0)
+            p.add_argument("--t-max", type=float, default=5.0)
+            p.add_argument("--t-steps", type=int, default=6)
+        return p
 
-    p = sub.add_parser("moments", help="moment sets, uncertainty bound, saturation")
-    add_common(p)
-    p.add_argument("--method", choices=("closed", "quadrature", "both"), dest="method")
+    p = add("moments", "moment sets, uncertainty bound, saturation")
+    p.add_argument("--method", choices=("closed", "quadrature", "both"), default="both")
 
-    p = sub.add_parser("evolve", help="density grid of the evolved packet")
-    add_common(p, grids=True)
-    p.add_argument("--method", choices=("closed", "quadrature"), dest="method")
+    p = add("evolve", "density grid of the evolved packet", grids=True)
+    p.add_argument("--method", choices=("closed", "quadrature"), default="closed")
 
-    p = sub.add_parser("spread", help="spreading law vs evolved-grid widths")
-    add_common(p, grids=True)
+    add("spread", "spreading law vs evolved-grid widths", grids=True)
 
-    p = sub.add_parser("boost", help="Lorentz boost map and boosted expectations")
-    add_common(p)
-    p.add_argument("--boost-u", type=float, dest="boost_u")
+    p = add("boost", "Lorentz boost map and boosted expectations")
+    p.add_argument("--boost-u", type=float)
 
-    p = sub.add_parser("cosmo", help="comoving trace in an expanding universe")
-    add_common(p, grids=True)
-    p.add_argument("--model", choices=("powerlaw", "exp", "tabulated"), dest="model")
-    p.add_argument("--exponent", type=float, dest="exponent")
-    p.add_argument("--t-scale", type=float, dest="t_scale")
-    p.add_argument("--hubble", type=float, dest="hubble")
-    p.add_argument("--r0", type=float, dest="r0")
-    p.add_argument("--model-file", dest="model_file")
+    p = add("cosmo", "comoving trace in an expanding universe", grids=True)
+    p.add_argument("--model", choices=("powerlaw", "exp", "tabulated"), default="powerlaw")
+    p.add_argument("--exponent", type=float, default=1.0)
+    p.add_argument("--t-scale", type=float, default=1.0)
+    p.add_argument("--hubble", type=float, default=0.1)
+    p.add_argument("--r0", type=float, default=1.0)
+    p.add_argument("--model-file")
 
-    p = sub.add_parser("figures", help="emit the data grids behind figures 1-4")
-    add_common(p)
-    p.add_argument("--which", choices=("1", "2", "3", "4", "all"), dest="which")
-    p.add_argument("--out-dir", dest="out_dir")
+    p = add("figures", "emit the data grids behind figures 1-4")
+    p.add_argument("--which", choices=("1", "2", "3", "4", "all"), default="all")
+    p.add_argument("--out-dir", default=".")
 
-    p = sub.add_parser("selfcheck", help="run the full invariant suite")
-    add_common(p)
-    return parser
+    add("selfcheck", "run the full invariant suite")
+    return parser, subparsers
 
 
 def main(argv=None):
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, subparsers = _build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _merge_config(args)
-        spec = _spec_from(cfg)
-        return _COMMANDS[args.command](cfg, spec)
+        if args.config:
+            # Parse again with the file's tokens first: the flags after them win.
+            rest = argv[argv.index(args.command) + 1:]
+            args = subparsers[args.command].parse_args(
+                _config_tokens(args) + rest, argparse.Namespace(command=args.command)
+            )
+        spec = _spec_from(args)
+        return _COMMANDS[args.command](args, spec)
     except ConfigError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

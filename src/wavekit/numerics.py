@@ -25,6 +25,7 @@ evaluation runs an adaptive or doubling rule.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -99,10 +100,14 @@ _GK_WEIGHTS = np.stack([_K21_WEIGHTS, _K21_WEIGHTS - _G10_WEIGHTS])
 # which bounds the memory a wide integrand allocates per call.
 _CALL_ELEMENTS = 1 << 16
 
+# Panel splits one ``_adaptive`` call may make, and the cap on the initial
+# panels ``propagation.evolve_quadrature`` sizes from the phase.
+_MAX_SUBDIVISIONS = 32768
+
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances and budgets shared by all integration routines.
+    """Tolerances shared by all integration routines.
 
     The absolute floor also sets the tail budget (``_tail_budget``): how far
     a line integrand's logarithm falls below its peak at the window's ends.
@@ -110,15 +115,12 @@ class QuadratureSpec:
 
     relative_tolerance: float = 1.0e-10
     absolute_floor: float = 1.0e-14
-    max_subdivisions: int = 32768
 
     def __post_init__(self):
         if not 0.0 < self.relative_tolerance < 1.0:
             raise InvalidInput("relative_tolerance must lie in (0, 1)")
         if self.absolute_floor < 0.0 or not math.isfinite(self.absolute_floor):
             raise InvalidInput("absolute_floor must be finite and >= 0")
-        if self.max_subdivisions < 8:
-            raise InvalidInput("max_subdivisions must be >= 8")
 
 
 DEFAULT_SPEC = QuadratureSpec()
@@ -229,7 +231,7 @@ def _adaptive(f, lo, hi, spec, breakpoints=(), initial_panels=1):
     sharing every other node. Each round splits, in one batch, the panels of
     highest priority (largest err/tol when they were made) until their
     errors cover the excess of the total error over the tolerance, never
-    past ``spec.max_subdivisions``. The very first call is one panel and
+    past ``_MAX_SUBDIVISIONS``. The very first call is one panel and
     tells the rule the integrand's width; after it, the remaining initial
     panels and then each round's children are evaluated in one integrand
     call, split into calls of at most ``_CALL_ELEMENTS`` output values
@@ -277,7 +279,7 @@ def _adaptive(f, lo, hi, spec, breakpoints=(), initial_panels=1):
                 "adaptive quadrature met a non-finite integrand value",
                 pa[:n][bad], pb[:n][bad], pe[:n][bad], tol, total, toterr, shape,
             )
-        budget = spec.max_subdivisions - splits
+        budget = _MAX_SUBDIVISIONS - splits
         if budget <= 0:
             raise _nonconvergence(
                 "adaptive quadrature exhausted %d subdivisions" % splits,
@@ -452,6 +454,10 @@ def _i_recurrence(n, z):
         value, err = _i_recurrence(n, -z)
         return np.where(n % 2 == 1, -value, value), err
     top = int(np.max(n, initial=0))
+    if math.hypot(z.real, z.imag) > 1 << 21:
+        # Every start below is at least |z|/2, so past the cap; abs(z) and
+        # 2|z| could also overflow.
+        raise NonConvergence("I_n recurrence at |z| > 2^21 would take over 2^20 steps")
     start = _i_underflow_order(z, top)
     if start is None:
         start = int(top + 2.0 * abs(z)) + 60
@@ -481,17 +487,19 @@ def bessel_i_integer(n, z):
     """Modified Bessel function I_n of integer order for complex argument, by
     one Miller recurrence at every z (no series, adaptive or doubling rule).
     ``abs_error`` is the recurrence's absolute rounding bound, (steps + 4)
-    eps (|I_0| + 2 sum |I_k|), which holds at every |z|."""
+    eps (|I_0| + 2 sum |I_k|), which holds at every |z|. Past |Re z| =
+    709.78, e^z overflows inside the recurrence: ``OverflowSignal``."""
     z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+    if not float(n).is_integer():
+        raise InvalidInput("order of I_n must be an integer")
+    if not cmath.isfinite(z):
         raise InvalidInput("argument of I_n must be finite")
-    if abs(z.real) > 700.0:
-        # e^|Re z| overflows inside the recurrence before I_n leaves float range.
-        raise OverflowSignal("I_%d(%s) exceeds the representable range" % (int(n), z))
-    value, err = _bessel_i_vec(int(n), z)
+    n = int(n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value, err = _bessel_i_vec(n, z)
     v = complex(value)
-    if not (math.isfinite(v.real) and math.isfinite(v.imag)):
-        raise OverflowSignal("I_%d(%s) exceeds the representable range" % (int(n), z))
+    if not cmath.isfinite(v):
+        raise OverflowSignal("I_%d(%s) exceeds the representable range" % (n, z))
     return ComplexAmplitude(v, float(err))
 
 
@@ -604,10 +612,10 @@ def _bessel_k01_vec(z):
 
 
 def bessel_k01(z):
-    """Modified Bessel functions (K_0(z), K_1(z)) for Re z > 0."""
+    """Modified Bessel functions (K_0(z), K_1(z)) for finite z, Re z > 0."""
     z = complex(z)
-    if z.real <= 0.0:
-        raise InvalidInput("bessel_k01 requires Re z > 0")
+    if not (z.real > 0.0 and cmath.isfinite(z)):
+        raise InvalidInput("bessel_k01 requires finite z with Re z > 0")
     k0, k1, e0, e1 = _bessel_k01_vec(z)
     return (
         ComplexAmplitude(complex(k0[0]), float(e0[0])),
@@ -631,18 +639,18 @@ def _bessel_jy_vec(x):
 
 
 def bessel_j0_y0(x):
-    """(J_0(x), N_0(x)) for real x > 0."""
+    """(J_0(x), N_0(x)) for finite real x > 0."""
     x = float(x)
-    if x <= 0.0:
-        raise InvalidInput("bessel_j0_y0 requires x > 0")
+    if not 0.0 < x < math.inf:
+        raise InvalidInput("bessel_j0_y0 requires finite x > 0")
     j0, y0, _, _ = _bessel_jy_vec(x)
     return float(j0[0]), float(y0[0])
 
 
 def bessel_j1_y1(x):
-    """(J_1(x), N_1(x)) for real x > 0."""
+    """(J_1(x), N_1(x)) for finite real x > 0."""
     x = float(x)
-    if x <= 0.0:
-        raise InvalidInput("bessel_j1_y1 requires x > 0")
+    if not 0.0 < x < math.inf:
+        raise InvalidInput("bessel_j1_y1 requires finite x > 0")
     _, _, j1, y1 = _bessel_jy_vec(x)
     return float(j1[0]), float(y1[0])

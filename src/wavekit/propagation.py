@@ -26,6 +26,7 @@ from .numerics import (
     _amplitude,
     _bessel_i_vec,
     _bessel_k01_vec,
+    _MAX_SUBDIVISIONS,
     _PERIODIC_MAX_POINTS,
     _line_integral,
     _periodic,
@@ -209,7 +210,7 @@ def evolve_quadrature(packet, x, t, spec=DEFAULT_SPEC):
             # little to bisect. A far x makes the count inf, hence the cap.
             with np.errstate(over="ignore"):
                 omega = np.max(np.abs((xb + packet.beta_i)[:, np.newaxis] - v_ends * t))
-                panels = max(8, math.ceil(min(spec.max_subdivisions, (hi - lo) * omega / (4.0 * math.pi))))
+                panels = max(8, math.ceil(min(_MAX_SUBDIVISIONS, (hi - lo) * omega / (4.0 * math.pi))))
             value[block], err[block] = _line_integral(f, lo, hi, spec, panels=panels)
     return _amplitude(value.reshape(x.shape), err.reshape(x.shape))
 

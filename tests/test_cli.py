@@ -15,10 +15,15 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 
 def checkout_env(extra=None):
     """The environment with this checkout's ``src/`` first on PYTHONPATH, so a
-    CLI subprocess imports the wavekit under test, installed or not."""
+    CLI subprocess imports the wavekit under test, installed or not. A None
+    in ``extra`` removes that variable."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    env.update(extra or {})
+    for key, value in (extra or {}).items():
+        if value is None:
+            env.pop(key, None)
+        else:
+            env[key] = value
     return env
 
 
@@ -305,33 +310,22 @@ def test_bad_config_exit_code():
 
 
 def test_tolerance_env_and_flag(tmp_path):
+    # Precedence: flag, then config file, then WAVEKIT_TOL, then 1e-10.
     out = tmp_path / "t.json"
-    cp = run_cli(
-        *MOMENT_ARGS[:-2],
-        "--method",
-        "closed",
-        "--format",
-        "json",
-        "--out",
-        str(out),
-        env_extra={"WAVEKIT_TOL": "1e-8"},
-    )
-    assert cp.returncode == 0, cp.stderr
-    assert json.loads(out.read_text())["meta"]["tolerance"] == 1e-8
-    cp = run_cli(
-        *MOMENT_ARGS[:-2],
-        "--method",
-        "closed",
-        "--format",
-        "json",
-        "--tol",
-        "1e-9",
-        "--out",
-        str(out),
-        env_extra={"WAVEKIT_TOL": "1e-8"},
-    )
-    assert cp.returncode == 0
-    assert json.loads(out.read_text())["meta"]["tolerance"] == 1e-9
+    cfg = tmp_path / "tol.json"
+    cfg.write_text(json.dumps({"tol": 1e-7}))
+
+    def tolerance(*extra, env):
+        cp = run_cli(*MOMENT_ARGS[:-2], "--method", "closed", "--format", "json",
+                     "--out", str(out), *extra, env_extra={"WAVEKIT_TOL": env})
+        assert cp.returncode == 0, cp.stderr
+        return json.loads(out.read_text())["meta"]["tolerance"]
+
+    assert tolerance(env=None) == 1e-10
+    assert tolerance(env="1e-8") == 1e-8
+    assert tolerance("--config", str(cfg), env="1e-8") == 1e-7
+    assert tolerance("--config", str(cfg), "--tol", "1e-9", env="1e-8") == 1e-9
+    assert tolerance("--tol", "1e-9", env="1e-8") == 1e-9
 
 
 def _assert_config_error(cp):
@@ -407,3 +401,93 @@ def test_python_m_wavekit_selfcheck():
     )
     assert cp.returncode == 0, cp.stderr
     assert cp.stdout.rstrip().endswith("selfcheck: all checks passed")
+
+
+def _write_config(tmp_path, entries, name="run.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps(entries))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "command, entries, env, option",
+    [
+        ("moments", {"alpha": "abc"}, None, "--alpha"),
+        ("moments", {"tol": "x"}, None, "--tol"),
+        ("evolve", {"x_steps": "many"}, None, "--x-steps"),
+        ("boost", {"boost_u": "fast"}, None, "--boost-u"),
+        ("moments", {"method": "bogus"}, None, "--method"),
+        ("figures", {"which": "7"}, None, "--which"),
+        ("moments", {"format": "xml"}, None, "--format"),
+        ("moments", {}, "abc", "--tol"),
+    ],
+)
+def test_bad_config_value_is_a_flag_error(tmp_path, command, entries, env, option):
+    # Config values and WAVEKIT_TOL meet the flags' own types and choices.
+    cfg = _write_config(tmp_path, {"dispersion": "rel", "alpha": 1, **entries})
+    cp = run_cli(command, "--config", cfg, env_extra={"WAVEKIT_TOL": env})
+    assert cp.returncode == 2
+    assert "Traceback" not in cp.stderr
+    assert f"error: argument {option}:" in cp.stderr
+    assert cp.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [{"mass": None}, {"boost_u": 0.6, "x_min": 3}, {"config": "missing.json", "command": "evolve"}],
+    ids=["null", "other-subcommand", "config-and-command"],
+)
+def test_config_entries_ignored(tmp_path, entries):
+    # A null value counts as absent; keys moments does not take are ignored.
+    flags = ("moments", "--dispersion", "rel", "--alpha", "1", "--method", "closed")
+    cfg = _write_config(tmp_path, {"dispersion": "rel", "alpha": 1, **entries})
+    want = run_cli(*flags)
+    got = run_cli("moments", "--config", cfg, "--method", "closed")
+    assert want.returncode == 0 and got.returncode == 0, got.stderr
+    assert got.stdout == want.stdout
+
+
+def _as_flags(entries):
+    return [tok for key, value in entries.items() for tok in (f"--{key.replace('_', '-')}", str(value))]
+
+
+@pytest.mark.parametrize(
+    "command, entries",
+    [
+        ("moments", {"dispersion": "rel", "mass": 1, "alpha": 1, "beta_re": -0.5, "method": "both"}),
+        ("evolve", {"dispersion": "nonrel", "mass": 3, "alpha": 1, "beta_re": -0.5, "x_min": -8,
+                    "x_max": 8, "x_steps": 41, "t_max": 2, "t_steps": 3, "method": "quadrature"}),
+        ("cosmo", {"dispersion": "rel", "alpha": 1, "beta_re": -0.5, "model": "exp",
+                   "hubble": 0.2, "t_steps": 3, "format": "json"}),
+    ],
+)
+def test_config_file_matches_flags(tmp_path, command, entries):
+    want = run_cli(command, *_as_flags(entries))
+    got = run_cli(command, "--config", _write_config(tmp_path, entries))
+    assert want.returncode == 0, want.stderr
+    assert got.returncode == 0, got.stderr
+    assert got.stdout == want.stdout
+
+
+def test_config_file_matches_flags_figures(tmp_path):
+    by_flag, by_config = tmp_path / "flag", tmp_path / "config"
+    by_flag.mkdir()
+    by_config.mkdir()
+    assert run_cli("figures", "--which", "2", "--out-dir", str(by_flag)).returncode == 0
+    cfg = _write_config(tmp_path, {"which": 2, "out_dir": str(by_config)})
+    cp = run_cli("figures", "--config", cfg)
+    assert cp.returncode == 0, cp.stderr
+    assert os.listdir(by_config) == ["fig2.csv"]
+    assert (by_config / "fig2.csv").read_bytes() == (by_flag / "fig2.csv").read_bytes()
+
+
+def test_config_values_starting_with_dash(tmp_path):
+    # Neither value reads as a number to argparse when split from its option.
+    entries = {"dispersion": "nonrel", "alpha": 1, "beta_re": -1e-05, "out": "-m.csv"}
+    cfg = _write_config(tmp_path, entries)
+    cp = run_cli("moments", "--config", cfg, cwd=tmp_path)
+    assert cp.returncode == 0, cp.stderr
+    want = tmp_path / "want.csv"
+    flags = ("--dispersion", "nonrel", "--alpha", "1", "--beta-re=-1e-05")
+    assert run_cli("moments", *flags, "--out", str(want)).returncode == 0
+    assert (tmp_path / "-m.csv").read_bytes() == want.read_bytes()

@@ -3,6 +3,7 @@
 import cmath
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -82,10 +83,9 @@ class TestIntegrateLine:
             abs(a) * fa.abs_error + abs(b) * gb.abs_error + combo.abs_error + 1e-12
         )
 
-    def test_nonconvergence_budget(self):
-        spec = QuadratureSpec(
-            relative_tolerance=1e-12, absolute_floor=1e-16, max_subdivisions=8
-        )
+    def test_nonconvergence_budget(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_MAX_SUBDIVISIONS", 8)
+        spec = QuadratureSpec(relative_tolerance=1e-12, absolute_floor=1e-16)
         with pytest.raises(NonConvergence):
             integrate_line(lambda p: np.exp(-np.abs(p)) * np.cos(40.0 * p), 1.0, spec)
 
@@ -124,16 +124,15 @@ class TestGaussKronrodRule:
             assert sizes[1] == 7 * 21
         assert np.all(value == value[0])
 
-    def test_subdivision_budget(self):
+    def test_subdivision_budget(self, monkeypatch):
         points = []
 
         def f(p):
             points.append(len(p))
             return np.exp(-np.abs(p)) * np.cos(40.0 * p)
 
-        spec = QuadratureSpec(
-            relative_tolerance=1e-12, absolute_floor=1e-16, max_subdivisions=8
-        )
+        monkeypatch.setattr(numerics, "_MAX_SUBDIVISIONS", 8)
+        spec = QuadratureSpec(relative_tolerance=1e-12, absolute_floor=1e-16)
         with pytest.raises(NonConvergence, match=r"exhausted 8 subdivisions; worst panel \[.*, .*\] at err/tol"):
             integrate_line(f, 1.0, spec)
         # 8 initial panels, then at most 8 splits of two children each.
@@ -224,7 +223,6 @@ class TestQuadratureSpec:
             {"relative_tolerance": 0.0},
             {"relative_tolerance": 2.0},
             {"absolute_floor": -1.0},
-            {"max_subdivisions": 4},
         ],
     )
     def test_invariants(self, kwargs):
@@ -290,6 +288,32 @@ class TestBesselI:
         with pytest.raises(OverflowSignal):
             bessel_i_integer(0, 800.0)
 
+    @pytest.mark.parametrize("z", [705.0, -705.0, 709 + 700j])
+    def test_near_float_maximum_against_mpmath(self, z):
+        # I_0(705) = 2.26e304: representable, although e^z nears the float
+        # maximum inside the recurrence.
+        mpmath = pytest.importorskip("mpmath")
+        for n in (0, 1, 4):
+            got = bessel_i_integer(n, z)
+            with mpmath.workdps(30):
+                ref = complex(mpmath.besseli(n, mpmath.mpc(z.real, z.imag)))
+            assert abs(got.value - ref) <= 1e-15 * abs(ref), n
+            assert abs(got.value - ref) <= got.abs_error, n
+
+    def test_overflow_past_float_maximum_without_warning(self):
+        # e^710 overflows inside the recurrence: a typed error, no RuntimeWarning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowSignal):
+                bessel_i_integer(0, 710.0)
+
+    @pytest.mark.parametrize(
+        "n, z", [(0.5, 1.0), (0, math.nan), (1, complex(1.0, math.inf)), (math.nan, 1.0)]
+    )
+    def test_invalid_order_or_argument(self, n, z):
+        with pytest.raises(InvalidInput):
+            bessel_i_integer(n, z)
+
     def test_small_argument_against_mpmath(self):
         # The recurrence serves small |z| too, to rounding level, and its
         # returned bound covers the true error.
@@ -334,6 +358,12 @@ class TestBesselI:
         with pytest.raises(NonConvergence):
             bessel_i_integer(0, 1e7j)
 
+    @pytest.mark.parametrize("z", [1e308j, -1e308, complex(1.3e308, 1.3e308)])
+    def test_huge_argument_refused(self, z):
+        # 2|z|, and here |z| itself, leave the float range.
+        with pytest.raises(NonConvergence):
+            bessel_i_integer(0, z)
+
     def test_high_order_against_mpmath(self):
         mpmath = pytest.importorskip("mpmath")
         with mpmath.workdps(30):
@@ -353,6 +383,11 @@ class TestBesselK:
         for z in (-1.0, -1e-300 + 3.0j, 0.0):
             with pytest.raises(InvalidInput):
                 numerics._bessel_k01_vec(np.array([2.0, z]))
+
+    @pytest.mark.parametrize("z", [math.nan, complex(1.0, math.nan), math.inf, complex(2.0, -math.inf)])
+    def test_non_finite_argument(self, z):
+        with pytest.raises(InvalidInput):
+            bessel_k01(z)
 
     def test_sqrt3_values(self):
         k0, k1 = bessel_k01(math.sqrt(3.0))
@@ -436,6 +471,12 @@ class TestBesselJY:
             bessel_j0_y0(0.0)
         with pytest.raises(InvalidInput):
             bessel_j1_y1(-3.0)
+
+    @pytest.mark.parametrize("f", [bessel_j0_y0, bessel_j1_y1])
+    @pytest.mark.parametrize("x", [math.nan, math.inf])
+    def test_non_finite_argument(self, f, x):
+        with pytest.raises(InvalidInput):
+            f(x)
 
     def test_series_limit_at_origin(self):
         j0, _ = bessel_j0_y0(1e-8)
