@@ -22,7 +22,7 @@ from .cosmology import (
     comoving_trace,
     mean_velocity,
 )
-from .dispersion import DispersionRelation, Kind, MomentumDomain
+from .dispersion import DispersionRelation, Kind
 from .moments import (
     MomentSet,
     Provenance,
@@ -40,8 +40,6 @@ from .numerics import (
     bessel_j0_y0,
     bessel_j1_y1,
     bessel_k01,
-    integrate_line,
-    integrate_periodic,
 )
 from .packet import MomentTargets, PacketParams, make_minimal, solve_parameters
 from .propagation import (

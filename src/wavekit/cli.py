@@ -117,10 +117,7 @@ def _config_tokens(args):
 
 def _spec_from(args):
     try:
-        return QuadratureSpec(
-            relative_tolerance=args.tol,
-            absolute_floor=min(1e-14, args.tol * 1e-2),
-        )
+        return QuadratureSpec(args.tol)
     except WavekitError as exc:
         raise ConfigError(str(exc))
 
@@ -349,7 +346,7 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     subparsers = {}
 
-    def add(name, summary, grids=False):
+    def add(name, summary, grids=()):
         p = subparsers[name] = sub.add_parser(name, help=summary)
         p.add_argument("--config", help="flat JSON config file; flags override its keys")
         p.add_argument("--dispersion", choices=sorted(_KINDS))
@@ -362,10 +359,11 @@ def _build_parser():
         p.add_argument("--tol", type=float, default=os.environ.get("WAVEKIT_TOL", "1e-10"))
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", default="")
-        if grids:
+        if "x" in grids:
             p.add_argument("--x-min", type=float, default=-10.0)
             p.add_argument("--x-max", type=float, default=10.0)
             p.add_argument("--x-steps", type=int, default=201)
+        if "t" in grids:
             p.add_argument("--t-min", type=float, default=0.0)
             p.add_argument("--t-max", type=float, default=5.0)
             p.add_argument("--t-steps", type=int, default=6)
@@ -374,15 +372,15 @@ def _build_parser():
     p = add("moments", "moment sets, uncertainty bound, saturation")
     p.add_argument("--method", choices=("closed", "quadrature", "both"), default="both")
 
-    p = add("evolve", "density grid of the evolved packet", grids=True)
+    p = add("evolve", "density grid of the evolved packet", grids=("x", "t"))
     p.add_argument("--method", choices=("closed", "quadrature"), default="closed")
 
-    add("spread", "spreading law vs evolved-grid widths", grids=True)
+    add("spread", "spreading law vs evolved-grid widths", grids=("t",))
 
     p = add("boost", "Lorentz boost map and boosted expectations")
     p.add_argument("--boost-u", type=float)
 
-    p = add("cosmo", "comoving trace in an expanding universe", grids=True)
+    p = add("cosmo", "comoving trace in an expanding universe", grids=("t",))
     p.add_argument("--model", choices=("powerlaw", "exp", "tabulated"), default="powerlaw")
     p.add_argument("--exponent", type=float, default=1.0)
     p.add_argument("--t-scale", type=float, default=1.0)

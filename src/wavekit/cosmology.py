@@ -226,13 +226,15 @@ def comoving_trace(packet, model, t_values, spec=DEFAULT_SPEC):
             for block in np.split(p, range(_TIME_BLOCK, len(p), _TIME_BLOCK))
         ])
         v_now = rel.velocity(p[:, np.newaxis] * (r0 / rt))
-        return np.column_stack([x_w, x2_w, w, w * w, -beta_i * w, v_now])
+        return np.column_stack([x_w, x2_w, w, w * w, v_now])
 
     vals, _ = expectation_many(packet, weights, spec)
     vals = vals.real
-    w_mean, w_sq, w_x, mean_v = vals[2:].reshape(4, k)
+    w_mean, w_sq, mean_v = vals[2:].reshape(3, k)
     mean_rho = vals[0] / r0 + w_mean
-    mean_rho2 = vals[1] / (r0 * r0) + (2.0 / r0) * w_x + w_sq
+    # Re<W x> = -beta_i <W>: as columns of their own, -beta_i W would be 0
+    # at beta_r = 0 with errors of size |beta_i|.
+    mean_rho2 = vals[1] / (r0 * r0) + (2.0 / r0) * (-beta_i * w_mean) + w_sq
     return ComovingTrace(
         t_values=t_values,
         mean_rho=mean_rho,

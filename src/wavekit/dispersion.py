@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import CurvatureSingular, DomainError, InvalidInput
 
-__all__ = ["Kind", "DispersionRelation", "MomentumDomain"]
+__all__ = ["Kind", "DispersionRelation"]
 
 
 def _rel_energy(p, m):
@@ -32,18 +32,6 @@ class Kind(enum.Enum):
     LATTICE = "lattice"
     RELATIVISTIC = "rel"
     MASSLESS = "massless"
-
-
-@dataclass(frozen=True)
-class MomentumDomain:
-    """Either the full real line or one Brillouin zone ]-cut, cut]."""
-
-    periodic: bool
-    cut: float | None = None  # pi/a for lattice kinds
-
-    @property
-    def period(self):
-        return 2.0 * self.cut if self.periodic else None
 
 
 @dataclass(frozen=True)
@@ -84,11 +72,6 @@ class DispersionRelation:
         return cls(Kind.MASSLESS, 0.0)
 
     # -- domain -------------------------------------------------------------
-
-    def momentum_domain(self):
-        if self.kind is Kind.LATTICE:
-            return MomentumDomain(periodic=True, cut=math.pi / self.lattice_spacing)
-        return MomentumDomain(periodic=False)
 
     def _check_domain(self, p):
         if self.kind is Kind.LATTICE:

@@ -80,6 +80,9 @@ def moments_quadrature(packet, spec=DEFAULT_SPEC):
     symmetrized correlation is <vx+xv> = 2 Re (1/2pi) int (v Phi)* i Phi' dp.
     Of Phi* i Phi' / |Phi|^2 = -beta_i + i(beta_r - alpha v) only -beta_i is
     integrated: the rest integrates to exactly 0 by <v> = beta_r / alpha.
+    So <vx+xv> = -2 beta_i <v> is taken from the v column: integrated as a
+    column of its own, it is 0 at beta_r = 0 with errors of size |beta_i|,
+    which no tolerance meets at large beta_i.
     """
     rel = packet.rel
     alpha, beta_r, beta_i = packet.alpha, packet.beta_r, packet.beta_i
@@ -90,8 +93,7 @@ def moments_quadrature(packet, spec=DEFAULT_SPEC):
         d = beta_r - alpha * v
         x_w = np.full_like(p, -beta_i)  # Re Phi* i Phi' / |Phi|^2
         x2_w = d * d + beta_i * beta_i  # |Phi'|^2 / |Phi|^2
-        cvx_w = 2.0 * v * x_w
-        return np.stack([v, v * v, p, p * p, e, e * e, x_w, x2_w, cvx_w], axis=1)
+        return np.stack([v, v * v, p, p * p, e, e * e, x_w, x2_w], axis=1)
 
     vals, _ = expectation_many(packet, weights, spec)
     return MomentSet(
@@ -103,7 +105,7 @@ def moments_quadrature(packet, spec=DEFAULT_SPEC):
         mean_p2=float(vals[3].real),
         mean_E=float(vals[4].real),
         mean_E2=float(vals[5].real),
-        corr_vx=float(vals[8].real),
+        corr_vx=float(-2.0 * beta_i * vals[0].real) + 0.0,  # + 0.0 turns -0 into 0
         provenance=Provenance.QUADRATURE,
     )
 

@@ -37,8 +37,6 @@ __all__ = [
     "QuadratureSpec",
     "ComplexAmplitude",
     "DEFAULT_SPEC",
-    "integrate_line",
-    "integrate_periodic",
     "bessel_i_integer",
     "bessel_k01",
     "bessel_j0_y0",
@@ -107,20 +105,25 @@ _MAX_SUBDIVISIONS = 32768
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances shared by all integration routines.
+    """The one tolerance shared by all integration routines.
 
-    The absolute floor also sets the tail budget (``_tail_budget``): how far
-    a line integrand's logarithm falls below its peak at the window's ends.
+    Its absolute floor, min(1e-14, relative_tolerance / 100), is derived,
+    not set; it also sets the tail budget (``_tail_budget``): how far a line
+    integrand's logarithm falls below its peak at the window's ends.
     """
 
     relative_tolerance: float = 1.0e-10
-    absolute_floor: float = 1.0e-14
 
     def __post_init__(self):
         if not 0.0 < self.relative_tolerance < 1.0:
             raise InvalidInput("relative_tolerance must lie in (0, 1)")
-        if self.absolute_floor < 0.0 or not math.isfinite(self.absolute_floor):
-            raise InvalidInput("absolute_floor must be finite and >= 0")
+        if self.absolute_floor == 0.0:
+            raise InvalidInput("relative_tolerance %g gives an absolute floor that underflows to 0"
+                               % self.relative_tolerance)
+
+    @property
+    def absolute_floor(self):
+        return min(1.0e-14, 1.0e-2 * self.relative_tolerance)
 
 
 DEFAULT_SPEC = QuadratureSpec()
@@ -189,11 +192,10 @@ def _fill(f, rows, a, b, store, per_call, tol):
 
 
 def _ratio(err, tol):
-    """err/tol per component, 0 where err = 0 and inf where only tol = 0
-    (a zero tolerance comes from an identically zero column at a zero
-    absolute floor)."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(err == 0.0, 0.0, err / tol)
+    """err/tol per component; tol >= the absolute floor > 0, and a
+    non-finite total gives inf/inf before ``NonConvergence`` is raised."""
+    with np.errstate(invalid="ignore"):
+        return err / tol
 
 
 def _cover(order, err, excess):
@@ -326,26 +328,11 @@ def _tail_budget(spec):
     return math.log(1.0 / max(spec.absolute_floor, 1e-18)) + _WINDOW_SAFETY
 
 
-def _line_integral(f, lo, hi, spec, breakpoints=(), panels=8):
+def _line_integral(f, lo, hi, spec, panels=8):
     """Adaptive integral of ``f`` over the momentum window [lo, hi], with a
     breakpoint at 0 (where |p| kinks) and ``panels`` equal initial panels;
     returns (value, err) arrays."""
-    pts = (0.0,) + tuple(breakpoints)
-    return _adaptive(f, lo, hi, spec, breakpoints=pts, initial_panels=panels)
-
-
-def integrate_line(f, decay_rate, spec=DEFAULT_SPEC, *, breakpoints=()):
-    """Integrate ``f`` over the real line.
-
-    ``f`` must be continuous with ``|f(p)| <= C exp(-decay_rate |p|)`` for
-    large ``|p|``; the integral runs over |p| <= budget / decay_rate, so
-    that the discarded tail sits below the absolute floor. An integrand
-    whose values have shape S gives ``value`` and ``abs_error`` of shape S.
-    """
-    if decay_rate <= 0.0 or not math.isfinite(decay_rate):
-        raise InvalidInput("decay_rate must be > 0")
-    window = _tail_budget(spec) / decay_rate
-    return _amplitude(*_line_integral(f, -window, window, spec, breakpoints))
+    return _adaptive(f, lo, hi, spec, breakpoints=(0.0,), initial_panels=panels)
 
 
 # Nodes past which the periodic rule stops doubling (and will not start).
@@ -391,19 +378,6 @@ def _periodic(f, period, spec, points=16):
     )
 
 
-def integrate_periodic(f, period, spec=DEFAULT_SPEC):
-    """Integrate a smooth periodic ``f`` over one period.
-
-    Equally spaced trapezoid sums are spectrally accurate for smooth
-    periodic integrands; the point count doubles until the doubling
-    increment falls below tolerance. An integrand whose values have shape S
-    gives ``value`` and ``abs_error`` of shape S.
-    """
-    if period <= 0.0 or not math.isfinite(period):
-        raise InvalidInput("period must be > 0")
-    return _amplitude(*_periodic(f, period, spec))
-
-
 # ---------------------------------------------------------------------------
 # Modified Bessel functions I_n (integer order, complex argument)
 # ---------------------------------------------------------------------------
@@ -423,7 +397,8 @@ def _i_underflow_order(z, top):
         return None
     if r == 0.0:
         return lo
-    log_half = math.log(r / 2.0)
+    # Not log(r / 2): half the least subnormal rounds to 0.
+    log_half = math.log(r) - math.log(2.0)
 
     def underflows(k):
         return k * log_half - math.lgamma(k + 1.0) + r * r / (4.0 * (k + 1.0)) - z.real < _LOG_UNDERFLOW

@@ -383,6 +383,44 @@ def test_float_edge_packet():
     _assert_config_error(run_cli("moments", "--dispersion", "rel", "--mass", "1", "--alpha", "360"))
 
 
+def test_tolerance_whose_floor_underflows():
+    # 1e-323 lies in (0, 1), but its floor tol/100 rounds to 0.
+    _assert_config_error(run_cli(*MOMENT_ARGS, "--tol", "1e-323"))
+
+
+@pytest.mark.parametrize("command", ["spread", "cosmo"])
+def test_x_grid_only_on_evolve(command, tmp_path):
+    # spread and cosmo read only the t grid, so they take no --x-* option,
+    # while a config file's x keys are ignored like any key they do not take.
+    flags = (command, "--dispersion", "massless", "--alpha", "1", "--t-steps", "3")
+    cp = run_cli(*flags, "--x-steps", "1", "--x-min", "5", "--x-max", "-5")
+    assert cp.returncode == 2
+    assert "unrecognized arguments: --x-steps 1 --x-min 5 --x-max -5" in cp.stderr
+    cfg = _write_config(tmp_path, {"x_steps": 1, "x_min": 5, "x_max": -5})
+    got = run_cli(*flags, "--config", cfg)
+    assert got.returncode == 0, got.stderr
+    assert got.stdout == run_cli(*flags).stdout
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("moments", "--dispersion", "rel", "--alpha", "1", "--beta-im", "1000", "--method", "both"),
+        ("cosmo", "--dispersion", "nonrel", "--alpha", "1", "--beta-im", "1000"),
+        ("boost", "--dispersion", "rel", "--alpha", "1", "--beta-im", "10000", "--boost-u", "0.6"),
+    ],
+    ids=["moments", "cosmo", "boost"],
+)
+def test_large_beta_i_converges(args):
+    # At beta_r = 0 the correlations are 0 with integrands of size |beta_i|,
+    # so they must come from <v> and <W>, not from integrals of their own.
+    cp = run_cli(*args, "--format", "json")
+    assert cp.returncode == 0, cp.stderr
+    out = json.loads(cp.stdout)
+    if args[0] == "moments":
+        assert out["meta"]["max_abs_diff"] <= 1e-8 * 1000.0**2  # 1e-8 of <x^2>
+
+
 def test_header_only_model_file(tmp_path):
     path = tmp_path / "model.csv"
     path.write_text("t,R\n")

@@ -189,6 +189,23 @@ class TestComovingTrace:
         assert trace.mean_rho[0] == pytest.approx(1.5, abs=1e-9)
         assert trace.mean_x[0] == pytest.approx(1.5, abs=1e-9)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("rel", [NONREL, REL, MASSLESS])
+    @pytest.mark.parametrize("beta_r", [0.0, 0.5])
+    def test_large_beta_i_is_a_shift(self, rel, beta_r):
+        # beta_i = 1000 translates the packet by -1000: <rho> moves by
+        # -1000/R(0) = -1000, and the comoving spread and <v> stay. At
+        # beta_r = 0, Re<W x> is 0 with an integrand of size |beta_i|.
+        ts = np.linspace(0.0, 5.0, 6)
+        base = comoving_trace(make_minimal(rel, 1.0, beta_r, 0.0), EXPANDING, ts)
+        moved = comoving_trace(make_minimal(rel, 1.0, beta_r, 1000.0), EXPANDING, ts)
+        np.testing.assert_allclose(moved.mean_rho, base.mean_rho - 1000.0, rtol=1e-12)
+        np.testing.assert_allclose(
+            moved.mean_rho2, base.mean_rho2 - 2000.0 * base.mean_rho + 1e6, rtol=1e-12
+        )
+        np.testing.assert_allclose(moved.mean_x, base.mean_x - 1000.0 * EXPANDING.scale(ts), rtol=1e-12)
+        np.testing.assert_allclose(moved.mean_v, base.mean_v, rtol=0.0, atol=1e-12)
+
     def test_mean_velocity_column(self):
         pk = make_minimal(REL, 1.0, 0.5, 0.0)
         ts = np.array([0.0, 1.0])

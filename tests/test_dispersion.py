@@ -29,14 +29,6 @@ def test_lattice_values():
     assert c == pytest.approx(1.0 / 3.0)
 
 
-def test_momentum_domains():
-    assert not DispersionRelation.relativistic(1.0).momentum_domain().periodic
-    dom = DispersionRelation.lattice(1.0, 1.0).momentum_domain()
-    assert dom.periodic and dom.cut == pytest.approx(math.pi)
-    dom_half = DispersionRelation.lattice(1.0, 0.5).momentum_domain()
-    assert dom_half.cut == pytest.approx(2.0 * math.pi)
-
-
 def test_lattice_domain_error():
     rel = DispersionRelation.lattice(3.0, 1.0)
     with pytest.raises(DomainError):

@@ -1,7 +1,6 @@
 """Moment closed forms against the quadrature oracle and spreading laws."""
 
 import math
-import warnings
 
 import pytest
 
@@ -17,7 +16,6 @@ from wavekit.moments import (
     spreading_width_sq,
     uncertainty_bound,
 )
-from wavekit.numerics import QuadratureSpec
 from wavekit.packet import make_minimal
 
 NONREL = DispersionRelation.non_relativistic(3.0)
@@ -119,17 +117,33 @@ def test_boosted_norm_of_relativistic_gaussian_core():
     assert abs(boosted_wave_moments(wave)["norm"] - 1.0) <= 1e-8
 
 
-def test_zero_absolute_floor():
-    # The <x> column is identically zero at beta_i = 0, so its tolerance is
-    # 0 at a zero floor; its err/tol must not divide 0 by 0.
-    spec = QuadratureSpec(absolute_floor=0.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        m = moments_quadrature(make_minimal(REL, 1, 0.5, 0), spec)
-    ref = moments_quadrature(make_minimal(REL, 1, 0.5, 0))
-    assert m.mean_x == 0.0
-    for name in MomentSet.FIELDS[1:]:
-        assert getattr(m, name) == pytest.approx(getattr(ref, name), rel=1e-12, abs=0.0)
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "rel, alpha, beta_r, beta_i",
+    [
+        (REL, 1.0, 0.0, 1000.0),
+        (REL, 1.0, 0.5, 1000.0),
+        (MASSLESS, 1.0, 0.0, 1000.0),
+        (DispersionRelation.lattice(1.0, 1.0), 1.0, 0.0, 1000.0),
+        (NONREL, 1.0, 0.0, 1e5),
+        (NONREL, 1.0, 0.5, -1e5),
+    ],
+)
+def test_large_beta_i(rel, alpha, beta_r, beta_i):
+    # <vx+xv> and the <x> columns scale with beta_i; at beta_r = 0 the
+    # correlation is 0, so as a column of its own it could never converge.
+    pk = make_minimal(rel, alpha, beta_r, beta_i)
+    mq = moments_quadrature(pk)
+    mc = moments_closed_form(pk)
+    assert mq.mean_x == pytest.approx(-beta_i, rel=1e-12)
+    for field in MomentSet.FIELDS:
+        if getattr(mc, field) is not None:
+            assert _rel_diff(getattr(mq, field), getattr(mc, field)) <= 1e-8, field
+
+
+def test_corr_vx_zero_is_unsigned():
+    m = moments_quadrature(make_minimal(REL, 1.0, 0.5, 0.0))
+    assert math.copysign(1.0, m.corr_vx) == 1.0
 
 
 def test_variance_nonnegativity():

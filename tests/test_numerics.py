@@ -1,6 +1,7 @@
 """Quadrature and special-function checks against independent oracles."""
 
 import cmath
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -19,8 +20,6 @@ from wavekit.numerics import (
     bessel_j0_y0,
     bessel_j1_y1,
     bessel_k01,
-    integrate_line,
-    integrate_periodic,
 )
 from wavekit.packet import expectation_many, make_minimal
 
@@ -32,62 +31,62 @@ K0_SQRT3 = 0.15893189833983052
 K1_SQRT3 = 0.20033843116359428
 
 
+def _line(f, decay_rate, spec=numerics.DEFAULT_SPEC):
+    """(value, err) of ``f`` over the real line: the line rule over the
+    window where exp(-decay_rate |p|) falls by the tail budget."""
+    w = numerics._tail_budget(spec) / decay_rate
+    return numerics._line_integral(f, -w, w, spec)
+
+
 class TestIntegrateLine:
     def test_gaussian(self):
-        out = integrate_line(lambda p: np.exp(-p * p), 1.0)
-        assert out.value == pytest.approx(math.sqrt(math.pi), abs=1e-10)
-        assert out.abs_error <= 1e-10
+        value, err = _line(lambda p: np.exp(-p * p), 1.0)
+        assert value == pytest.approx(math.sqrt(math.pi), abs=1e-10)
+        assert err <= 1e-10
 
     def test_two_sided_exponential(self):
-        out = integrate_line(lambda p: np.exp(-2.0 * np.abs(p)), 2.0)
-        assert out.value == pytest.approx(1.0, abs=1e-10)
+        value, _ = _line(lambda p: np.exp(-2.0 * np.abs(p)), 2.0)
+        assert value == pytest.approx(1.0, abs=1e-10)
 
     def test_odd_integrand_vanishes(self):
-        out = integrate_line(lambda p: np.exp(-2.0 * np.sqrt(p * p + 1.0)) * p, 1.0)
-        assert abs(out.value) < 1e-12
+        value, _ = _line(lambda p: np.exp(-2.0 * np.sqrt(p * p + 1.0)) * p, 1.0)
+        assert abs(value) < 1e-12
 
     def test_array_valued_integrand(self):
-        # Values of shape (2,) give value and abs_error of shape (2,); a
-        # scalar integrand still gets a Python complex and float.
-        out = integrate_line(lambda p: np.stack([np.exp(-p * p), p * p * np.exp(-p * p)], axis=1), 1.0)
-        assert out.value.shape == out.abs_error.shape == (2,)
-        assert np.allclose(out.value, [math.sqrt(math.pi), math.sqrt(math.pi) / 2.0], rtol=0.0, atol=1e-12)
-        scalar = integrate_line(lambda p: np.exp(-p * p), 1.0)
-        assert type(scalar.value) is complex and type(scalar.abs_error) is float
-        assert scalar.value == out.value[0]
-
-    def test_invalid_decay_rate(self):
-        with pytest.raises(InvalidInput):
-            integrate_line(lambda p: np.exp(-p * p), -1.0)
+        # Values of shape (2,) give value and error of shape (2,); a scalar
+        # integrand gives 0-d arrays.
+        value, err = _line(lambda p: np.stack([np.exp(-p * p), p * p * np.exp(-p * p)], axis=1), 1.0)
+        assert value.shape == err.shape == (2,)
+        assert np.allclose(value, [math.sqrt(math.pi), math.sqrt(math.pi) / 2.0], rtol=0.0, atol=1e-12)
+        scalar, scalar_err = _line(lambda p: np.exp(-p * p), 1.0)
+        assert scalar.shape == scalar_err.shape == ()
+        assert scalar == value[0]
 
     def test_error_estimate_respects_spec_bound(self):
-        spec = QuadratureSpec(relative_tolerance=1e-8, absolute_floor=1e-12)
-        out = integrate_line(lambda p: np.exp(-p * p) * np.cos(3 * p), 1.0, spec)
-        assert out.abs_error <= 1e-8 * abs(out.value) + 1e-12
+        spec = QuadratureSpec(relative_tolerance=1e-8)
+        value, err = _line(lambda p: np.exp(-p * p) * np.cos(3 * p), 1.0, spec)
+        assert err <= 1e-8 * abs(value) + spec.absolute_floor
 
     def test_refinement_consistency(self):
         f = lambda p: np.exp(-np.abs(p)) * np.cos(p)
-        first = integrate_line(f, 1.0)
-        tight = QuadratureSpec(relative_tolerance=1e-11, absolute_floor=1e-15)
-        second = integrate_line(f, 1.0, tight)
-        assert abs(first.value - second.value) <= max(first.abs_error, 1e-14)
+        first, first_err = _line(f, 1.0)
+        second, _ = _line(f, 1.0, QuadratureSpec(relative_tolerance=1e-13))
+        assert abs(first - second) <= max(first_err, 1e-14)
 
     def test_linearity(self):
         f = lambda p: np.exp(-p * p)
         g = lambda p: np.exp(-2.0 * np.abs(p))
         a, b = 2.5, -1.25
-        combo = integrate_line(lambda p: a * f(p) + b * g(p), 1.0)
-        fa = integrate_line(f, 1.0)
-        gb = integrate_line(g, 2.0)
-        assert abs(combo.value - (a * fa.value + b * gb.value)) <= (
-            abs(a) * fa.abs_error + abs(b) * gb.abs_error + combo.abs_error + 1e-12
-        )
+        combo, combo_err = _line(lambda p: a * f(p) + b * g(p), 1.0)
+        fa, fa_err = _line(f, 1.0)
+        gb, gb_err = _line(g, 2.0)
+        assert abs(combo - (a * fa + b * gb)) <= abs(a) * fa_err + abs(b) * gb_err + combo_err + 1e-12
 
     def test_nonconvergence_budget(self, monkeypatch):
         monkeypatch.setattr(numerics, "_MAX_SUBDIVISIONS", 8)
-        spec = QuadratureSpec(relative_tolerance=1e-12, absolute_floor=1e-16)
+        spec = QuadratureSpec(relative_tolerance=1e-14)
         with pytest.raises(NonConvergence):
-            integrate_line(lambda p: np.exp(-np.abs(p)) * np.cos(40.0 * p), 1.0, spec)
+            _line(lambda p: np.exp(-np.abs(p)) * np.cos(40.0 * p), 1.0, spec)
 
 
 class TestGaussKronrodRule:
@@ -100,8 +99,9 @@ class TestGaussKronrodRule:
         ],
     )
     def test_closed_forms(self, f, breakpoints, exact):
-        out = integrate_line(f, 1.0, breakpoints=breakpoints)
-        assert abs(out.value - exact) <= 1e-10 * abs(exact)
+        w = numerics._tail_budget(numerics.DEFAULT_SPEC)
+        value, _ = numerics._adaptive(f, -w, w, numerics.DEFAULT_SPEC, breakpoints=breakpoints)
+        assert abs(value - exact) <= 1e-10 * abs(exact)
 
     @pytest.mark.parametrize("width", [1, 3, 4000])
     def test_points_per_call_capped(self, width):
@@ -132,9 +132,9 @@ class TestGaussKronrodRule:
             return np.exp(-np.abs(p)) * np.cos(40.0 * p)
 
         monkeypatch.setattr(numerics, "_MAX_SUBDIVISIONS", 8)
-        spec = QuadratureSpec(relative_tolerance=1e-12, absolute_floor=1e-16)
+        spec = QuadratureSpec(relative_tolerance=1e-14)
         with pytest.raises(NonConvergence, match=r"exhausted 8 subdivisions; worst panel \[.*, .*\] at err/tol"):
-            integrate_line(f, 1.0, spec)
+            _line(f, 1.0, spec)
         # 8 initial panels, then at most 8 splits of two children each.
         assert sum(points) <= (8 + 16) * 21
 
@@ -190,30 +190,25 @@ class TestIntegrandEvaluation:
 
 class TestIntegratePeriodic:
     def test_constant(self):
-        out = integrate_periodic(lambda p: np.ones_like(p), 2.0 * math.pi)
-        assert out.value == pytest.approx(2.0 * math.pi, rel=1e-12)
+        value, _ = numerics._periodic(lambda p: np.ones_like(p), 2.0 * math.pi, numerics.DEFAULT_SPEC)
+        assert value == pytest.approx(2.0 * math.pi, rel=1e-12)
 
     def test_cosine_vanishes(self):
-        out = integrate_periodic(lambda p: np.cos(p), 2.0 * math.pi)
-        assert abs(out.value) < 1e-12
+        value, _ = numerics._periodic(lambda p: np.cos(p), 2.0 * math.pi, numerics.DEFAULT_SPEC)
+        assert abs(value) < 1e-12
 
     def test_bessel_normalization_identity(self):
         # 2 pi I_0(2): the lattice-normalization identity.
-        out = integrate_periodic(lambda p: np.exp(2.0 * np.cos(p)), 2.0 * math.pi)
-        assert out.value == pytest.approx(TWO_PI_I0_2, rel=1e-11)
+        value, _ = numerics._periodic(lambda p: np.exp(2.0 * np.cos(p)), 2.0 * math.pi, numerics.DEFAULT_SPEC)
+        assert value == pytest.approx(TWO_PI_I0_2, rel=1e-11)
         i0 = bessel_i_integer(0, 2.0)
-        assert out.value == pytest.approx(2.0 * math.pi * i0.value.real, rel=1e-11)
-
-    def test_invalid_period(self):
-        with pytest.raises(InvalidInput):
-            integrate_periodic(lambda p: np.cos(p), 0.0)
+        assert value == pytest.approx(2.0 * math.pi * i0.value.real, rel=1e-11)
 
     def test_refinement_consistency(self):
         f = lambda p: np.exp(np.cos(3.0 * p))
-        first = integrate_periodic(f, 2.0 * math.pi)
-        tight = QuadratureSpec(relative_tolerance=1e-11, absolute_floor=1e-15)
-        second = integrate_periodic(f, 2.0 * math.pi, tight)
-        assert abs(first.value - second.value) <= max(first.abs_error, 1e-14)
+        first, first_err = numerics._periodic(f, 2.0 * math.pi, numerics.DEFAULT_SPEC)
+        second, _ = numerics._periodic(f, 2.0 * math.pi, QuadratureSpec(relative_tolerance=1e-13))
+        assert abs(first - second) <= max(first_err, 1e-14)
 
 
 class TestQuadratureSpec:
@@ -222,12 +217,28 @@ class TestQuadratureSpec:
         [
             {"relative_tolerance": 0.0},
             {"relative_tolerance": 2.0},
-            {"absolute_floor": -1.0},
         ],
     )
     def test_invariants(self, kwargs):
         with pytest.raises(InvalidInput):
             QuadratureSpec(**kwargs)
+
+    @pytest.mark.parametrize("tol", [math.nan, 1e-323])
+    def test_tolerance_refused(self, tol):
+        # 1e-323 lies in (0, 1), but its floor tol/100 underflows to 0.
+        with pytest.raises(InvalidInput):
+            QuadratureSpec(tol)
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-10, 1e-12, 1e-13])
+    def test_floor_derived_from_tolerance(self, tol):
+        spec = QuadratureSpec(tol)
+        assert spec.absolute_floor == min(1e-14, tol / 100)
+        with pytest.raises(AttributeError):
+            spec.absolute_floor = 0.0
+
+    def test_one_setting(self):
+        assert [f.name for f in dataclasses.fields(QuadratureSpec)] == ["relative_tolerance"]
+        assert numerics.DEFAULT_SPEC.absolute_floor == 1e-14
 
 
 class TestBesselI:
@@ -237,13 +248,20 @@ class TestBesselI:
         for n in range(6):
             assert bessel_i_integer(n, 0.0).value == (1.0 if n == 0 else 0.0)
 
+    @pytest.mark.parametrize("z", [5e-324j, -5e-324, 1e-323 + 5e-324j])
+    def test_least_subnormal_argument(self, z):
+        # |z|/2 rounds to 0 here; the underflow order must not take log(0).
+        for n in range(3):
+            got = bessel_i_integer(n, z).value
+            assert abs(got - (1.0 if n == 0 else 0.0)) <= 1e-300
+
     def test_integral_representation_oracle(self):
         # (1/2pi) int exp((2/3) cos p) dp computed by the periodic rule.
-        oracle = integrate_periodic(
-            lambda p: np.exp((2.0 / 3.0) * np.cos(p)) / (2.0 * math.pi), 2.0 * math.pi
+        oracle, _ = numerics._periodic(
+            lambda p: np.exp((2.0 / 3.0) * np.cos(p)) / (2.0 * math.pi), 2.0 * math.pi, numerics.DEFAULT_SPEC
         )
         got = bessel_i_integer(0, 2.0 / 3.0)
-        assert got.value.real == pytest.approx(oracle.value.real, rel=1e-11)
+        assert got.value.real == pytest.approx(oracle.real, rel=1e-11)
         assert got.value.real == pytest.approx(I0_TWO_THIRDS, rel=1e-12)
 
     def test_negative_order_symmetry(self):
