@@ -165,10 +165,10 @@ def boosted_wave_moments(wave, spec=DEFAULT_SPEC):
 def boosted_expectations(packet, u, m0=None, spec=DEFAULT_SPEC):
     """Predicted boosted-frame expectations from the unboosted packet.
 
-    <E>_b and <p>_b follow algebraically from the original moments;
-    <v>_b, <x>_b, and <x^2>_b are quadratures of the boosted-velocity
-    expressions v' = (v - u)/(1 - u v) in the original state, with
-    x = i d/dp applied through the analytic derivative of Phi.
+    <E>_b and <p>_b follow algebraically from the original moments, <v>_b and
+    <x^2>_b (x = i d/dp on Phi) are quadratures over v' = (v - u)/(1 - u v),
+    and <x>_b = gamma (<x> + (u/2) Re<v'x + xv'>) takes <x> = -beta_i and
+    Re<v'x + xv'> = -2 beta_i <v'>, as moments_quadrature does.
     """
     if packet.rel.kind is not Kind.RELATIVISTIC:
         raise KindMismatch("boosted expectations are defined for the relativistic kind")
@@ -185,20 +185,16 @@ def boosted_expectations(packet, u, m0=None, spec=DEFAULT_SPEC):
         v_prime = (v - u) / (1.0 - u * v)
         dv_prime = curv * (1.0 - u * u) / (1.0 - u * v) ** 2
         d = beta_r - alpha * v
-        x_w = np.full_like(p, -beta_i)  # Re Phi* i Phi' / |Phi|^2
-        sym_w = 2.0 * v_prime * x_w  # Re <v'x + xv'> weight
         # B Phi = [(1 + u v') i(beta - alpha v) + i (u/2) dv'/dp] Phi
         coef_re = -(1.0 + u * v_prime) * beta_i
         coef_im = (1.0 + u * v_prime) * d + 0.5 * u * dv_prime
         b_sq = coef_re * coef_re + coef_im * coef_im
-        return np.stack([v_prime, x_w, sym_w, b_sq], axis=1)
+        return np.stack([v_prime, b_sq], axis=1)
 
     vals, _ = expectation_many(packet, weights, spec)
     mean_v_b = float(vals[0].real)
-    mean_x = float(vals[1].real)
-    sym = float(vals[2].real)
-    mean_x_b = gamma * (mean_x + 0.5 * u * sym)
-    mean_x2_b = gamma * gamma * float(vals[3].real)
+    mean_x_b = gamma * (-beta_i - u * beta_i * mean_v_b)
+    mean_x2_b = gamma * gamma * float(vals[1].real)
     return MomentSet(
         mean_x=mean_x_b,
         mean_x2=mean_x2_b,

@@ -146,7 +146,7 @@ def _grid_from(args, key):
 def _cmd_moments(args, spec):
     packet = _packet_from(args)
     method = args.method
-    closed = moments_closed_form(packet, spec) if method in ("closed", "both") else None
+    closed = moments_closed_form(packet) if method in ("closed", "both") else None
     quad = moments_quadrature(packet, spec) if method in ("quadrature", "both") else None
     rows = []
     max_diff = 0.0

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dispersion import Kind
-from .numerics import DEFAULT_SPEC, _adaptive, _bessel_i_vec, _bessel_k01_vec, _tail_budget
+from .numerics import DEFAULT_SPEC, _bessel_i_vec, _bessel_k01_vec
 from .packet import expectation_many
 
 __all__ = [
@@ -110,19 +110,22 @@ def moments_quadrature(packet, spec=DEFAULT_SPEC):
     )
 
 
-def relativistic_k0_integral(mass, alpha, beta_r, spec=DEFAULT_SPEC):
-    """int_alpha^inf K_0(2 m sqrt(a'^2 - beta^2)) da', decay rate 2m."""
+def relativistic_k0_integral(mass, alpha, beta_r):
+    """int_alpha^inf K_0(2m sqrt(a^2 - beta_r^2)) da as one fixed trapezoid sum.
+    By K_0(2m sqrt(a^2 - b^2)) = (1/2) int exp(-2m(a cosh th - b sinh th)) dth it
+    is (e^-z/4m) int exp(-2z sinh^2(u/2)) / cosh(u + th_0) du, z = 2ms, s^2 =
+    (alpha - beta_r)(alpha + beta_r), sinh th_0 = beta_r/s: analytic in a strip,
+    so step min(0.2, 0.5/sqrt z) converges geometrically (Trefethen-Weideman 2014)."""
+    s = math.sqrt((alpha - beta_r) * (alpha + beta_r))
+    z = 2.0 * mass * s
+    h = min(0.2, 0.5 / math.sqrt(z))
+    k = int(math.acosh(1.0 + 40.0 / z) / h)
+    u = h * np.arange(-k, k + 1)
+    terms = np.exp(-2.0 * z * np.sinh(0.5 * u) ** 2) / np.cosh(u + math.asinh(beta_r / s))
+    return math.exp(-z) / (4.0 * mass) * h * float(terms.sum())
 
-    def f(y):
-        arg = 2.0 * mass * np.sqrt((alpha + y) ** 2 - beta_r**2)
-        k0, _, _, _ = _bessel_k01_vec(arg.astype(complex))
-        return k0
 
-    val, _ = _adaptive(f, 0.0, _tail_budget(spec) / (2.0 * mass), spec, initial_panels=8)
-    return float(val.real)
-
-
-def moments_closed_form(packet, spec=DEFAULT_SPEC):
+def moments_closed_form(packet):
     """Per-kind closed-form moments.
 
     The closed forms are quoted at beta_i = 0; a nonzero beta_i only
@@ -131,6 +134,7 @@ def moments_closed_form(packet, spec=DEFAULT_SPEC):
     rel = packet.rel
     alpha, beta_r, beta_i = packet.alpha, packet.beta_r, packet.beta_i
     mean_x = -beta_i
+    s2 = (alpha - beta_r) * (alpha + beta_r)  # rel and massless; as in the K_0 sum
 
     if rel.kind is Kind.NON_RELATIVISTIC:
         m = rel.mass
@@ -165,16 +169,16 @@ def moments_closed_form(packet, spec=DEFAULT_SPEC):
         )
     elif rel.kind is Kind.RELATIVISTIC:
         m = rel.mass
-        s = math.sqrt(alpha**2 - beta_r**2)
+        s = math.sqrt(s2)
         kv = _bessel_k01_vec(2.0 * m * s)
         k0, k1 = float(kv[0][0].real), float(kv[1][0].real)
         kfac = 1.0 + m * s * k0 / k1
-        j_int = relativistic_k0_integral(m, alpha, beta_r, spec)
+        j_int = relativistic_k0_integral(m, alpha, beta_r)
         mean_p2 = m**2 * beta_r**2 / s**2 + (alpha**2 + 3.0 * beta_r**2) / (
             2.0 * s**4
         ) * kfac
         out = dict(
-            mean_x2=alpha**2 - beta_r**2 - (2.0 * alpha * m * s / k1) * j_int + beta_i**2,
+            mean_x2=s2 - (2.0 * alpha * m * s / k1) * j_int + beta_i**2,
             mean_v=beta_r / alpha,
             mean_v2=1.0 - (2.0 * m * s / (alpha * k1)) * j_int,
             mean_p=beta_r / s**2 * kfac,
@@ -183,7 +187,6 @@ def moments_closed_form(packet, spec=DEFAULT_SPEC):
             mean_E2=mean_p2 + m**2,
         )
     else:  # massless
-        s2 = alpha**2 - beta_r**2
         mean_p2 = (alpha**2 + 3.0 * beta_r**2) / (2.0 * s2**2)
         out = dict(
             mean_x2=s2 + beta_i**2,

@@ -384,6 +384,7 @@ def _periodic(f, period, spec, points=16):
 
 # Below half the least subnormal a double rounds to 0.
 _LOG_UNDERFLOW = -1075.0 * math.log(2.0)
+_LOG_MAX = math.log(np.finfo(float).max)  # e^x overflows above it
 
 
 def _i_underflow_order(z, top):
@@ -433,6 +434,8 @@ def _i_recurrence(n, z):
         # Every start below is at least |z|/2, so past the cap; abs(z) and
         # 2|z| could also overflow.
         raise NonConvergence("I_n recurrence at |z| > 2^21 would take over 2^20 steps")
+    if z.real > _LOG_MAX:
+        raise OverflowSignal("e^z in the I_n recurrence overflows at Re z = %r" % z.real)
     start = _i_underflow_order(z, top)
     if start is None:
         start = int(top + 2.0 * abs(z)) + 60

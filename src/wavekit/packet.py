@@ -193,15 +193,15 @@ def make_minimal(rel, alpha, beta_r=0.0, beta_i=0.0):
     return PacketParams(rel, alpha, beta_r, beta_i, closed_form_norm_constant(rel, alpha, beta_r))
 
 
-def _width_of(rel, alpha, target_v, spec):
+def _width_of(rel, alpha, target_v):
     """Closed-form position uncertainty of the packet with <v> = target_v
     centred at x = 0 (beta_i = 0)."""
     from .moments import moments_closed_form  # moments imports this module
 
-    return moments_closed_form(make_minimal(rel, alpha, alpha * target_v), spec).width_x
+    return moments_closed_form(make_minimal(rel, alpha, alpha * target_v)).width_x
 
 
-def solve_parameters(rel, targets, mode="alpha", spec=DEFAULT_SPEC):
+def solve_parameters(rel, targets, mode="alpha"):
     """Solve packet parameters from physical targets.
 
     Integrating d|Phi|^2/dp = 2(beta_r - alpha v)|Phi|^2 over the packet's
@@ -209,8 +209,7 @@ def solve_parameters(rel, targets, mode="alpha", spec=DEFAULT_SPEC):
     ``alpha * targets.mean_velocity`` without a search. ``mode='alpha'``
     takes ``targets.width_parameter`` as alpha directly. ``mode='width'``
     brackets alpha and bisects until the closed-form position uncertainty
-    matches the target; ``spec`` is the tolerance of the relativistic K_0
-    integral in it.
+    matches the target.
     """
     if mode not in ("alpha", "width"):
         raise InvalidInput("mode must be 'alpha' or 'width'")
@@ -233,26 +232,22 @@ def solve_parameters(rel, targets, mode="alpha", spec=DEFAULT_SPEC):
 
     target_dx = float(targets.width_parameter)
     lo = hi = 1.0
-    w_lo = _width_of(rel, lo, v, spec)
     for _ in range(200):
-        if w_lo <= target_dx:
+        if _width_of(rel, lo, v) <= target_dx:
             break
         lo *= 0.5
-        w_lo = _width_of(rel, lo, v, spec)
     else:
         raise NonConvergence("no lower bracket for the width solve")
-    w_hi = _width_of(rel, hi, v, spec)
     for _ in range(200):
-        if w_hi >= target_dx:
+        if _width_of(rel, hi, v) >= target_dx:
             break
         hi *= 2.0
-        w_hi = _width_of(rel, hi, v, spec)
     else:
         raise NonConvergence("no upper bracket for the width solve")
 
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        w_mid = _width_of(rel, mid, v, spec)
+        w_mid = _width_of(rel, mid, v)
         if abs(w_mid - target_dx) <= 1e-8 * target_dx:
             return make_minimal(rel, mid, mid * v, beta_i)
         if w_mid < target_dx:

@@ -67,7 +67,8 @@ def _site_indices(rel, x):
     n_round = np.round(n)
     if np.any(np.abs(n - n_round) > 1e-9 * np.maximum(1.0, np.abs(n))):
         raise NonIntegerSite("lattice Green's function is defined on x = n a only")
-    return n_round.astype(int)
+    # Every row has underflowed by order 2^62, so the clip leaves G = 0 there.
+    return np.clip(n_round, -(2.0**62), 2.0**62).astype(np.int64)
 
 
 def _require_off_cone(x, t):
@@ -175,6 +176,8 @@ def evolve_quadrature(packet, x, t, spec=DEFAULT_SPEC):
     flat = x.reshape(-1)
     value = np.empty(flat.shape, dtype=complex)
     err = np.empty(flat.shape)
+    if rel.kind is Kind.LATTICE:
+        _site_indices(rel, flat + packet.beta_i)  # off the sites: no oracle either
     lo, hi = density_window(rel, packet.alpha, packet.beta_r, 1, spec)
     v_ends = rel.velocity(np.array([lo, hi]))
     decay = packet.alpha + 1j * t

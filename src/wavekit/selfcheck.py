@@ -98,7 +98,7 @@ def check_moments_oracle(spec=DEFAULT_SPEC):
     where = ""
     for kind, pk in reference_packets():
         mq = moments_quadrature(pk, spec)
-        mc = moments_closed_form(pk, spec)
+        mc = moments_closed_form(pk)
         for field in mq.FIELDS:
             closed = getattr(mc, field)
             if closed is None:

@@ -177,6 +177,16 @@ class TestBoostedExpectations:
         assert abs(direct["mean_E"] - gamma * (m0.mean_E - u * m0.mean_p)) <= 1e-7
         assert abs(direct["mean_p"] - gamma * (m0.mean_p - u * m0.mean_E)) <= 1e-7
 
+    def test_far_translated_packet_at_zero_boost(self):
+        # <v'> = 0 here: <v'x + xv'> integrated as a column of size |beta_i|
+        # met no tolerance.
+        pk = make_minimal(REL, 1.0, 0.0, 1000.0)
+        pred = boosted_expectations(pk, 0.0)
+        direct = boosted_wave_moments(boost_minimal_packet(pk, 0.0))
+        for field in ("mean_E", "mean_p", "mean_v"):
+            assert abs(getattr(pred, field) - direct[field]) <= 1e-7, field
+        assert pred.mean_x == -1000.0
+
     def test_minimality_is_frame_dependent(self):
         pk = make_minimal(REL, 1.0, 0.0, 0.0)
         u = 0.6

@@ -408,8 +408,9 @@ def test_x_grid_only_on_evolve(command, tmp_path):
         ("moments", "--dispersion", "rel", "--alpha", "1", "--beta-im", "1000", "--method", "both"),
         ("cosmo", "--dispersion", "nonrel", "--alpha", "1", "--beta-im", "1000"),
         ("boost", "--dispersion", "rel", "--alpha", "1", "--beta-im", "10000", "--boost-u", "0.6"),
+        ("boost", "--dispersion", "rel", "--alpha", "1", "--beta-im", "1000", "--boost-u", "0"),
     ],
-    ids=["moments", "cosmo", "boost"],
+    ids=["moments", "cosmo", "boost", "boost-u0"],
 )
 def test_large_beta_i_converges(args):
     # At beta_r = 0 the correlations are 0 with integrands of size |beta_i|,
@@ -419,6 +420,17 @@ def test_large_beta_i_converges(args):
     out = json.loads(cp.stdout)
     if args[0] == "moments":
         assert out["meta"]["max_abs_diff"] <= 1e-8 * 1000.0**2  # 1e-8 of <x^2>
+
+
+def test_rel_closed_form_near_light_speed():
+    # beta_r/alpha = 0.999: an adaptive K_0 integral gave mean_x2 < 0 here.
+    cp = run_cli(
+        "moments", "--dispersion", "rel", "--mass", "5", "--alpha", "100",
+        "--beta-re", "99.9", "--method", "closed", "--format", "json",
+    )
+    assert cp.returncode == 0, cp.stderr
+    closed = {row[0]: row[1] for row in json.loads(cp.stdout)["rows"]}
+    assert closed["mean_x2"] == pytest.approx(9.23774538417437e-4, rel=1e-8)  # mpmath
 
 
 def test_header_only_model_file(tmp_path):

@@ -13,6 +13,7 @@ from wavekit.moments import (
     ehrenfest_position,
     moments_closed_form,
     moments_quadrature,
+    relativistic_k0_integral,
     spreading_width_sq,
     uncertainty_bound,
 )
@@ -175,6 +176,52 @@ def test_massless_limit_of_relativistic():
         if a is None or b is None:
             continue
         assert _rel_diff(a, b) <= 1e-4, field
+
+
+def _k0_integral_mpmath(mpmath, mass, alpha, beta_r):
+    """(e^-z / 4m) int exp(-z(cosh u - 1)) / cosh(u + th_0) du at 30 digits
+    from the float inputs, split where the integrand turns."""
+    m, a, b = (mpmath.mpf(v) for v in (mass, alpha, beta_r))
+    s = mpmath.sqrt((a - b) * (a + b))
+    z, th0 = 2 * m * s, mpmath.atanh(b / a)
+    edge = mpmath.acosh(1 + 100 / z)
+    step = min(1, 2 / mpmath.sqrt(z))
+    cuts = sorted({-edge, mpmath.mpf(0), edge, max(-th0, -edge)})
+    nodes = [cuts[0]]
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        n = max(1, int((hi - lo) / step))
+        nodes += [lo + (hi - lo) * k / n for k in range(1, n + 1)]
+    f = lambda u: mpmath.exp(-z * (mpmath.cosh(u) - 1)) / mpmath.cosh(u + th0)
+    return mpmath.exp(-z) / (4 * m) * mpmath.quad(f, nodes)
+
+
+# (m, alpha, beta_r) with z = 2 m sqrt(alpha^2 - beta_r^2) over [1e-3, 700]
+# and beta_r/alpha up to 0.999, plus m = 5, alpha = 100, beta_r = 99.9
+# (z = 44.7), where an adaptive rule was 5.7e-5 off.
+K0_CASES = [
+    (m, z / (2.0 * m) / math.sqrt(1.0 - r * r), r * z / (2.0 * m) / math.sqrt(1.0 - r * r))
+    for m in (0.5, 5.0)
+    for z in (1e-3, 0.1, 3.0, 50.0, 700.0)
+    for r in (0.0, 0.9, 0.999)
+] + [(5.0, 100.0, 99.9)]
+
+
+@pytest.mark.parametrize("mass, alpha, beta_r", K0_CASES)
+def test_relativistic_k0_integral_against_mpmath(mass, alpha, beta_r):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        ref = float(_k0_integral_mpmath(mpmath, mass, alpha, beta_r))
+    assert abs(relativistic_k0_integral(mass, alpha, beta_r) - ref) <= 1e-13 * ref
+
+
+@pytest.mark.parametrize("mass, alpha, ratio", [(1.0, 100.0, 0.99), (5.0, 50.0, 0.999), (5.0, 100.0, 0.999)])
+def test_rel_closed_forms_near_light_speed(mass, alpha, ratio):
+    # An adaptive K_0 integral missed the 1e-8 gate here (1.1e-3 at the last).
+    pk = make_minimal(DispersionRelation.relativistic(mass), alpha, ratio * alpha, 0.0)
+    mq, mc = moments_quadrature(pk), moments_closed_form(pk)
+    for field in MomentSet.FIELDS:
+        if getattr(mc, field) is not None:
+            assert _rel_diff(getattr(mq, field), getattr(mc, field)) <= 1e-8, field
 
 
 class TestUncertaintyBound:

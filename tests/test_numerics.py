@@ -3,6 +3,7 @@
 import cmath
 import dataclasses
 import math
+import time
 import tracemalloc
 import warnings
 
@@ -382,6 +383,18 @@ class TestBesselI:
         with pytest.raises(NonConvergence):
             bessel_i_integer(0, z)
 
+    @pytest.mark.parametrize(
+        "refuse",
+        [lambda: bessel_i_integer(0, 5e5), lambda: make_minimal(DispersionRelation.lattice(1.0, 1.0), 2.5e5)],
+        ids=["bessel_i", "lattice-packet"],
+    )
+    def test_overflow_refused_before_recurrence(self, refuse):
+        # Past Re z = 709.78, e^z overflows: refused before 1e6 Miller steps.
+        start = time.perf_counter()
+        with pytest.raises(OverflowSignal):
+            refuse()
+        assert time.perf_counter() - start <= 0.1
+
     def test_high_order_against_mpmath(self):
         mpmath = pytest.importorskip("mpmath")
         with mpmath.workdps(30):
@@ -617,20 +630,19 @@ class TestFixedBesselRule:
         assert np.all(np.isfinite(row))
         assert peak < 1 << 20
 
-    def test_rel_closed_form_runs_one_adaptive_rule(self, monkeypatch):
+    def test_closed_forms_run_no_adaptive_rule(self, monkeypatch):
         from wavekit import moments
 
-        calls = []
-        adaptive = numerics._adaptive
+        def forbidden(*args, **kwargs):
+            raise AssertionError("adaptive rule called")
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return adaptive(*args, **kwargs)
-
-        # 2 m sqrt(alpha^2 - beta_r^2) = 4 sqrt(8) > 8: the K_0 integrand's
-        # arguments all go through the fixed sum.
-        pk = make_minimal(DispersionRelation.relativistic(2.0), 3.0, 1.0, 0.0)
-        monkeypatch.setattr(numerics, "_adaptive", counting)
-        monkeypatch.setattr(moments, "_adaptive", counting)
-        moments.moments_closed_form(pk)
-        assert len(calls) == 1
+        packets = [
+            make_minimal(DispersionRelation.non_relativistic(1.0), 1.0, 0.5, 0.0),
+            make_minimal(DispersionRelation.lattice(1.0, 1.0), 1.0, 0.0, 0.0),
+            make_minimal(DispersionRelation.relativistic(2.0), 3.0, 1.0, 0.0),
+            make_minimal(DispersionRelation.relativistic(5.0), 100.0, 99.9, 0.0),
+            make_minimal(DispersionRelation.massless(), 1.0, 0.5, 0.0),
+        ]
+        monkeypatch.setattr(numerics, "_adaptive", forbidden)
+        for pk in packets:
+            assert moments.moments_closed_form(pk).mean_x2 > 0.0

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -263,6 +264,23 @@ def test_oracle_at_float_limit_raises_typed_error(rel):
     pk = make_minimal(rel, 1.0, 0.5 if rel is REL else 0.0)
     with pytest.raises(NonConvergence):
         evolve_quadrature(pk, 1e308, 1.0)
+
+
+def test_lattice_oracle_off_the_sites_fails_fast():
+    # The closed form's site check runs before the periodic rule would double
+    # to 2^20 points.
+    pk = make_minimal(LATTICE, 1.0, 0.0)
+    start = time.perf_counter()
+    with pytest.raises(NonIntegerSite, match="x = n a only"):
+        evolve_quadrature(pk, np.linspace(-8.0, 8.0, 33), 0.0)
+    assert time.perf_counter() - start <= 0.1
+
+
+def test_lattice_site_past_int64():
+    # 1e19 / a does not fit int64; the order is past every underflow order.
+    pk = make_minimal(DispersionRelation.lattice(1.0, 1.0), 1.0, 0.0)
+    row = evolve_closed(pk, np.array([0.0, 1e19]), 5.0)
+    assert abs(row[0]) > 0.0 and row[1] == 0.0
 
 
 def test_evolved_gaussian_width():
