@@ -165,10 +165,12 @@ def boosted_wave_moments(wave, spec=DEFAULT_SPEC):
 def boosted_expectations(packet, u, m0=None, spec=DEFAULT_SPEC):
     """Predicted boosted-frame expectations from the unboosted packet.
 
-    <E>_b and <p>_b follow algebraically from the original moments, <v>_b and
-    <x^2>_b (x = i d/dp on Phi) are quadratures over v' = (v - u)/(1 - u v),
-    and <x>_b = gamma (<x> + (u/2) Re<v'x + xv'>) takes <x> = -beta_i and
-    Re<v'x + xv'> = -2 beta_i <v'>, as moments_quadrature does.
+    <E>_b and <p>_b follow algebraically from the original moments; the rest
+    are quadratures over v' = (v - u)/(1 - u v). x = i d/dp on Phi maps to
+    gamma B, B Phi = [(1 + u v') i(beta - alpha v) + i (u/2) dv'/dp] Phi. Re B
+    = -(1 + u v') beta_i varies only through u beta_i v', so <x>_b = -gamma
+    beta_i (1 + u <v'>) and var_x_b = gamma^2 (<(Im B)^2> + (u beta_i)^2
+    (<v'^2> - <v'>^2)): a difference of the bounded v', no beta_i^2 cancelled.
     """
     if packet.rel.kind is not Kind.RELATIVISTIC:
         raise KindMismatch("boosted expectations are defined for the relativistic kind")
@@ -184,26 +186,21 @@ def boosted_expectations(packet, u, m0=None, spec=DEFAULT_SPEC):
         curv = rel.curvature(p)
         v_prime = (v - u) / (1.0 - u * v)
         dv_prime = curv * (1.0 - u * u) / (1.0 - u * v) ** 2
-        d = beta_r - alpha * v
-        # B Phi = [(1 + u v') i(beta - alpha v) + i (u/2) dv'/dp] Phi
-        coef_re = -(1.0 + u * v_prime) * beta_i
-        coef_im = (1.0 + u * v_prime) * d + 0.5 * u * dv_prime
-        b_sq = coef_re * coef_re + coef_im * coef_im
-        return np.stack([v_prime, b_sq], axis=1)
+        coef_im = (1.0 + u * v_prime) * (beta_r - alpha * v) + 0.5 * u * dv_prime
+        return np.stack([v_prime, v_prime * v_prime, coef_im * coef_im], axis=1)
 
     vals, _ = expectation_many(packet, weights, spec)
-    mean_v_b = float(vals[0].real)
-    mean_x_b = gamma * (-beta_i - u * beta_i * mean_v_b)
-    mean_x2_b = gamma * gamma * float(vals[1].real)
+    mean_v_b, mean_v2_b, im_sq = (float(x) for x in vals.real)
+    ub = u * beta_i
     return MomentSet(
-        mean_x=mean_x_b,
-        mean_x2=mean_x2_b,
+        mean_x=gamma * (-beta_i - ub * mean_v_b),
+        var_x=gamma * gamma * (im_sq + ub * ub * (mean_v2_b - mean_v_b * mean_v_b)),
         mean_v=mean_v_b,
-        mean_v2=None,
+        var_v=None,
         mean_p=gamma * (m0.mean_p - u * m0.mean_E),
         mean_p2=None,
         mean_E=gamma * (m0.mean_E - u * m0.mean_p),
         mean_E2=None,
-        corr_vx=None,
+        cov_vx=None,
         provenance=Provenance.QUADRATURE,
     )

@@ -242,7 +242,7 @@ def _cmd_boost(args, spec):
         ("mean_p_b", pred.mean_p, direct["mean_p"], abs(pred.mean_p - direct["mean_p"])),
         ("mean_v_b", pred.mean_v, direct["mean_v"], abs(pred.mean_v - direct["mean_v"])),
     ]
-    dx_b = math.sqrt(pred.mean_x2 - pred.mean_x**2)
+    dx_b = pred.width_x
     dv_b = math.sqrt(direct["mean_v2"] - direct["mean_v"] ** 2)
     bound_b = 0.5 * packet.rel.mass**2 * direct["mean_E_m3"]
     rows.append(("uncertainty_excess_b", "", dx_b * dv_b - bound_b, ""))

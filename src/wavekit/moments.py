@@ -40,15 +40,19 @@ class Provenance(enum.Enum):
 
 @dataclass(frozen=True)
 class MomentSet:
+    """Moments of one packet, the spread stored central: var_x, var_v and
+    cov_vx = (1/2)<vx+xv> - <v><x>. Only here do mean_x2, mean_v2 and corr_vx
+    derive from them, so a translation beta_i costs the widths no digits."""
+
     mean_x: float | None
-    mean_x2: float | None
+    var_x: float | None
     mean_v: float | None
-    mean_v2: float | None
+    var_v: float | None
     mean_p: float | None
     mean_p2: float | None
     mean_E: float | None
     mean_E2: float | None
-    corr_vx: float | None
+    cov_vx: float | None
     provenance: Provenance
 
     FIELDS = (
@@ -64,25 +68,35 @@ class MomentSet:
     )
 
     @property
+    def mean_x2(self):
+        return None if self.var_x is None else self.var_x + self.mean_x**2
+
+    @property
+    def mean_v2(self):
+        return None if self.var_v is None else self.var_v + self.mean_v**2
+
+    @property
+    def corr_vx(self):
+        return None if self.cov_vx is None else 2.0 * (self.cov_vx + self.mean_v * self.mean_x)
+
+    @property
     def width_x(self):
-        return math.sqrt(self.mean_x2 - self.mean_x**2)
+        return math.sqrt(self.var_x)
 
     @property
     def width_v(self):
-        return math.sqrt(self.mean_v2 - self.mean_v**2)
+        return math.sqrt(self.var_v)
 
 
 def moments_quadrature(packet, spec=DEFAULT_SPEC):
     """All moments of a normalized packet by adaptive quadrature.
 
-    x = i d/dp acting on Phi gives <x> = (1/2pi) int Phi* i Phi' dp with
-    Phi' = (beta - alpha v) Phi, and <x^2> = (1/2pi) int |Phi'|^2 dp; the
-    symmetrized correlation is <vx+xv> = 2 Re (1/2pi) int (v Phi)* i Phi' dp.
-    Of Phi* i Phi' / |Phi|^2 = -beta_i + i(beta_r - alpha v) only -beta_i is
-    integrated: the rest integrates to exactly 0 by <v> = beta_r / alpha.
-    So <vx+xv> = -2 beta_i <v> is taken from the v column: integrated as a
-    column of its own, it is 0 at beta_r = 0 with errors of size |beta_i|,
-    which no tolerance meets at large beta_i.
+    x = i d/dp acting on Phi, with Phi' = (beta - alpha v) Phi, gives
+    Phi* i Phi' / |Phi|^2 = -beta_i + i(beta_r - alpha v). So <x> = -beta_i,
+    var_x is the integral of |(beta_r - alpha v) Phi|^2 / 2pi and var_v that
+    of (v - beta_r/alpha)^2 |Phi|^2 / 2pi, both central by <v> = beta_r/alpha;
+    beta_i, a pure translation, enters neither. The connected correlation
+    is exactly 0: Re (v Phi)* i Phi' = -beta_i v |Phi|^2 integrates to <v><x>.
     """
     rel = packet.rel
     alpha, beta_r, beta_i = packet.alpha, packet.beta_r, packet.beta_i
@@ -91,21 +105,21 @@ def moments_quadrature(packet, spec=DEFAULT_SPEC):
         v = rel.velocity(p)
         e = rel.energy(p)
         d = beta_r - alpha * v
+        dv = v - beta_r / alpha
         x_w = np.full_like(p, -beta_i)  # Re Phi* i Phi' / |Phi|^2
-        x2_w = d * d + beta_i * beta_i  # |Phi'|^2 / |Phi|^2
-        return np.stack([v, v * v, p, p * p, e, e * e, x_w, x2_w], axis=1)
+        return np.stack([v, dv * dv, p, p * p, e, e * e, x_w, d * d], axis=1)
 
     vals, _ = expectation_many(packet, weights, spec)
     return MomentSet(
         mean_x=float(vals[6].real),
-        mean_x2=float(vals[7].real),
+        var_x=float(vals[7].real),
         mean_v=float(vals[0].real),
-        mean_v2=float(vals[1].real),
+        var_v=float(vals[1].real),
         mean_p=float(vals[2].real),
         mean_p2=float(vals[3].real),
         mean_E=float(vals[4].real),
         mean_E2=float(vals[5].real),
-        corr_vx=float(-2.0 * beta_i * vals[0].real) + 0.0,  # + 0.0 turns -0 into 0
+        cov_vx=0.0,
         provenance=Provenance.QUADRATURE,
     )
 
@@ -128,12 +142,12 @@ def relativistic_k0_integral(mass, alpha, beta_r):
 def moments_closed_form(packet):
     """Per-kind closed-form moments.
 
-    The closed forms are quoted at beta_i = 0; a nonzero beta_i only
-    translates the packet, shifting <x> by -beta_i and <x^2> by beta_i^2.
+    The spreads are central, so they are the same at every beta_i: a
+    nonzero beta_i only translates the packet, shifting <x> by -beta_i.
     """
     rel = packet.rel
     alpha, beta_r, beta_i = packet.alpha, packet.beta_r, packet.beta_i
-    mean_x = -beta_i
+    mean_x = 0.0 - beta_i  # 0.0, not -0.0, at beta_i = 0
     s2 = (alpha - beta_r) * (alpha + beta_r)  # rel and massless; as in the K_0 sum
 
     if rel.kind is Kind.NON_RELATIVISTIC:
@@ -144,9 +158,9 @@ def moments_closed_form(packet):
         p4 = 3.0 * sigma2**2 + 6.0 * sigma2 * p_bar**2 + p_bar**4
         mean_v = beta_r / alpha
         out = dict(
-            mean_x2=alpha / (2.0 * m) + beta_i**2,
+            var_x=alpha / (2.0 * m),
             mean_v=mean_v,
-            mean_v2=1.0 / (2.0 * m * alpha) + (beta_r / alpha) ** 2,
+            var_v=1.0 / (2.0 * m * alpha),
             mean_p=p_bar,
             mean_p2=p2,
             mean_E=p2 / (2.0 * m),
@@ -159,9 +173,9 @@ def moments_closed_form(packet):
         i0, i1 = float(iv[0].real), float(iv[1].real)
         ratio = i1 / i0
         out = dict(
-            mean_x2=alpha * ratio / (2.0 * m) + beta_i**2,
+            var_x=alpha * ratio / (2.0 * m),
             mean_v=0.0,
-            mean_v2=ratio / (2.0 * m * alpha),
+            var_v=ratio / (2.0 * m * alpha),
             mean_p=0.0,  # odd integrand over the zone: exact zero
             mean_p2=None,  # no closed form in I_0, I_1
             mean_E=-ratio / (m * a * a),
@@ -178,9 +192,10 @@ def moments_closed_form(packet):
             2.0 * s**4
         ) * kfac
         out = dict(
-            mean_x2=s2 - (2.0 * alpha * m * s / k1) * j_int + beta_i**2,
+            var_x=s2 - (2.0 * alpha * m * s / k1) * j_int,
             mean_v=beta_r / alpha,
-            mean_v2=1.0 - (2.0 * m * s / (alpha * k1)) * j_int,
+            # <v^2> - (beta_r/alpha)^2 with 1 - (beta_r/alpha)^2 = s^2/alpha^2
+            var_v=s2 / alpha**2 - (2.0 * m * s / (alpha * k1)) * j_int,
             mean_p=beta_r / s**2 * kfac,
             mean_p2=mean_p2,
             mean_E=alpha / s**2 * kfac - 1.0 / (2.0 * alpha),
@@ -189,9 +204,9 @@ def moments_closed_form(packet):
     else:  # massless
         mean_p2 = (alpha**2 + 3.0 * beta_r**2) / (2.0 * s2**2)
         out = dict(
-            mean_x2=s2 + beta_i**2,
+            var_x=s2,
             mean_v=beta_r / alpha,
-            mean_v2=1.0,
+            var_v=s2 / alpha**2,
             mean_p=beta_r / s2,
             mean_p2=mean_p2,
             mean_E=(alpha**2 + beta_r**2) / (2.0 * alpha * s2),
@@ -201,7 +216,7 @@ def moments_closed_form(packet):
     # Minimal packets have vanishing connected position-velocity correlation.
     return MomentSet(
         mean_x=mean_x,
-        corr_vx=2.0 * out["mean_v"] * mean_x,
+        cov_vx=0.0,
         provenance=Provenance.CLOSED_FORM,
         **out,
     )
@@ -230,11 +245,8 @@ def ehrenfest_position(m0, t):
 
 
 def spreading_width_sq(m0, t):
-    """Dx(t)^2 = Dx(0)^2 + [<vx+xv> - 2<v><x>] t + Dv^2 t^2.
+    """Dx(t)^2 = Dx(0)^2 + 2 cov_vx t + Dv^2 t^2, from the central moments.
 
     For minimal packets the linear coefficient vanishes.
     """
-    var_x = m0.mean_x2 - m0.mean_x**2
-    var_v = m0.mean_v2 - m0.mean_v**2
-    linear = m0.corr_vx - 2.0 * m0.mean_v * m0.mean_x
-    return var_x + linear * t + var_v * t * t
+    return m0.var_x + 2.0 * m0.cov_vx * t + m0.var_v * t * t

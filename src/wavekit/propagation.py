@@ -63,9 +63,13 @@ class DensityGrid:
 
 def _site_indices(rel, x):
     a = rel.lattice_spacing
-    n = np.asarray(x, dtype=float) / a
-    n_round = np.round(n)
-    if np.any(np.abs(n - n_round) > 1e-9 * np.maximum(1.0, np.abs(n))):
+    # A finite x past float max times a divides to inf, which passes the
+    # site test (inf - inf is nan) and reaches the clip below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        n = np.asarray(x, dtype=float) / a
+        n_round = np.round(n)
+        off_site = np.abs(n - n_round) > 1e-9 * np.maximum(1.0, np.abs(n))
+    if np.any(off_site):
         raise NonIntegerSite("lattice Green's function is defined on x = n a only")
     # Every row has underflowed by order 2^62, so the clip leaves G = 0 there.
     return np.clip(n_round, -(2.0**62), 2.0**62).astype(np.int64)

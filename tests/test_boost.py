@@ -192,10 +192,15 @@ class TestBoostedExpectations:
         u = 0.6
         pred = boosted_expectations(pk, u)
         direct = boosted_wave_moments(boost_minimal_packet(pk, u))
-        dx_b = math.sqrt(pred.mean_x2 - pred.mean_x**2)
         dv_b = math.sqrt(direct["mean_v2"] - direct["mean_v"] ** 2)
         bound_b = 0.5 * direct["mean_E_m3"]
-        assert dx_b * dv_b - bound_b >= 1e-4
+        assert pred.width_x * dv_b - bound_b >= 1e-4
+
+    def test_far_translated_width_at_zero_boost(self):
+        # The boosted <x^2> minus <x>^2 cancelled beta_i^2 = 1e10 here.
+        pk = make_minimal(REL, 1.0, 0.5, 1e5)
+        m0 = moments_quadrature(pk)
+        assert boosted_expectations(pk, 0.0, m0).width_x == pytest.approx(m0.width_x, rel=1e-12)
 
     def test_infinitesimal_generator(self):
         pk = make_minimal(REL, 1.0, 0.0, 0.0)

@@ -422,6 +422,27 @@ def test_large_beta_i_converges(args):
         assert out["meta"]["max_abs_diff"] <= 1e-8 * 1000.0**2  # 1e-8 of <x^2>
 
 
+def test_readme_moments_print_unsigned_zeros(tmp_path):
+    out = tmp_path / "m.csv"
+    cp = run_cli(*MOMENT_ARGS, "--out", str(out))
+    assert cp.returncode == 0, cp.stderr
+    rows = {r[0]: r for r in read_csv(out)[1]}
+    assert rows["mean_x"] == ["mean_x", "0", "0", "0"]
+    assert rows["corr_vx"] == ["corr_vx", "0", "0", "0"]
+
+
+def test_far_translated_moments_saturate():
+    # The widths from <x^2> - <x>^2 gave a residual of -2.86e-6 here.
+    cp = run_cli(
+        "moments", "--dispersion", "nonrel", "--alpha", "1", "--beta-im", "1e5",
+        "--method", "both", "--format", "json",
+    )
+    assert cp.returncode == 0, cp.stderr
+    rows = {row[0]: row for row in json.loads(cp.stdout)["rows"]}
+    assert abs(rows["saturation_residual"][1]) <= 1e-7
+    assert abs(rows["saturation_residual"][2]) <= 1e-7
+
+
 def test_rel_closed_form_near_light_speed():
     # beta_r/alpha = 0.999: an adaptive K_0 integral gave mean_x2 < 0 here.
     cp = run_cli(

@@ -142,6 +142,46 @@ def test_large_beta_i(rel, alpha, beta_r, beta_i):
             assert _rel_diff(getattr(mq, field), getattr(mc, field)) <= 1e-8, field
 
 
+@pytest.mark.parametrize("beta_i", [1e5, 1e6])
+@pytest.mark.parametrize(
+    "rel,beta_r",
+    [(NONREL, 0.5), (LATTICE, 0.0), (REL, 0.5), (MASSLESS, 0.5)],
+    ids=["nonrel", "lattice", "rel", "massless"],
+)
+def test_far_translation_keeps_the_spread(rel, beta_r, beta_i):
+    # beta_i only translates the packet; widths by difference of raw moments
+    # lost ~beta_i^2 ulp here and broke the 1e-7 saturation gate.
+    pk = make_minimal(rel, 1.0, beta_r, beta_i)
+    centred = make_minimal(rel, 1.0, beta_r, 0.0)
+    bound = uncertainty_bound(pk)
+    for moments in (moments_closed_form, moments_quadrature):
+        m = moments(pk)
+        assert abs(m.width_x * m.width_v - bound) <= 1e-7, moments.__name__
+        law = spreading_width_sq(moments(centred), 2.0)
+        assert spreading_width_sq(m, 2.0) == pytest.approx(law, rel=1e-12), moments.__name__
+
+
+def test_massless_saturation_near_light_speed():
+    # beta_r/alpha = 0.999: <v^2> - <v>^2 = 1 - 0.998001 lost digits.
+    pk = make_minimal(MASSLESS, 1.0, 0.999, 0.0)
+    for moments in (moments_closed_form, moments_quadrature):
+        m = moments(pk)
+        assert abs(m.width_x * m.width_v - uncertainty_bound(pk)) <= 1e-15, moments.__name__
+
+
+def test_raw_moments_derive_from_central():
+    m = MomentSet(
+        mean_x=-2.0, var_x=0.5, mean_v=0.25, var_v=0.125, mean_p=None, mean_p2=None,
+        mean_E=None, mean_E2=None, cov_vx=0.0, provenance=Provenance.CLOSED_FORM,
+    )
+    assert (m.mean_x2, m.mean_v2, m.corr_vx) == (4.5, 0.1875, -1.0)
+    absent = MomentSet(
+        mean_x=-2.0, var_x=0.5, mean_v=0.25, var_v=None, mean_p=None, mean_p2=None,
+        mean_E=None, mean_E2=None, cov_vx=None, provenance=Provenance.QUADRATURE,
+    )
+    assert absent.mean_x2 == 4.5 and absent.mean_v2 is None and absent.corr_vx is None
+
+
 def test_corr_vx_zero_is_unsigned():
     m = moments_quadrature(make_minimal(REL, 1.0, 0.5, 0.0))
     assert math.copysign(1.0, m.corr_vx) == 1.0
@@ -155,8 +195,8 @@ def test_variance_nonnegativity():
         (MASSLESS, 0.4, 0.5),
     ):
         m = moments_quadrature(make_minimal(rel, 1.0, beta, beta_i))
-        assert m.mean_x2 >= m.mean_x**2
-        assert m.mean_v2 >= m.mean_v**2
+        assert m.var_x >= 0.0
+        assert m.var_v >= 0.0
         assert m.mean_p2 >= m.mean_p**2
         assert m.mean_E2 >= m.mean_E**2
 
@@ -242,7 +282,10 @@ class TestUncertaintyBound:
 
 class TestSpreadingLaw:
     def test_ehrenfest_arithmetic(self):
-        m0 = MomentSet(0.0, 1.0, 0.5, 1.0, None, None, None, None, 0.0, Provenance.QUADRATURE)
+        m0 = MomentSet(
+            mean_x=0.0, var_x=1.0, mean_v=0.5, var_v=0.75, mean_p=None, mean_p2=None,
+            mean_E=None, mean_E2=None, cov_vx=0.0, provenance=Provenance.QUADRATURE,
+        )
         assert ehrenfest_position(m0, 0.0) == 0.0
         assert ehrenfest_position(m0, 4.0) == 2.0
 

@@ -283,6 +283,16 @@ def test_lattice_site_past_int64():
     assert abs(row[0]) > 0.0 and row[1] == 0.0
 
 
+def test_lattice_site_past_float_max():
+    # 1.5e308 / 0.5 overflows to inf: the site reads G = 0 and the oracle
+    # refuses, both without a RuntimeWarning (an error under pytest).
+    pk = make_minimal(DispersionRelation.lattice(1.0, 0.5), 1.0, 0.0)
+    row = evolve_closed(pk, np.array([0.0, 1.5e308]), 1.0)
+    assert abs(row[0]) > 0.0 and row[1] == 0.0
+    with pytest.raises(NonConvergence, match="periodic rule would start above"):
+        evolve_quadrature(pk, 1.5e308, 1.0)
+
+
 def test_evolved_gaussian_width():
     pk = make_minimal(NONREL, 1.0, 0.0, 0.0)
     m0 = moments_quadrature(pk)
