@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dispersion import Kind
+from .dispersion import DispersionRelation, Kind
 from .errors import InvalidBoost, InvalidInput, KindMismatch
 from .moments import MomentSet, Provenance, moments_quadrature
 from .numerics import DEFAULT_SPEC, _line_integral
@@ -102,22 +102,19 @@ def lorentz_boost_wavefunction(psi, u, mass, window):
     if not m > 0.0:
         raise KindMismatch("the wave-function boost map needs a massive dispersion")
     gamma = bp.gamma
+    rel = DispersionRelation.relativistic(m)
 
     def residual(p_prime):
-        p_prime = np.asarray(p_prime, dtype=float)
-        v_prime = p_prime / np.sqrt(p_prime * p_prime + m * m)
-        return np.sqrt(gamma * (1.0 + u * v_prime)).astype(complex)
+        return np.sqrt(gamma * (1.0 + u * rel.velocity(p_prime))).astype(complex)
 
     def evaluator(p_prime):
-        p_prime = np.asarray(p_prime, dtype=float)
-        e_prime = np.sqrt(p_prime * p_prime + m * m)
-        p = gamma * (p_prime + u * e_prime)
+        p = gamma * (np.asarray(p_prime, dtype=float) + u * rel.energy(p_prime))
         return residual(p_prime) * psi(p)
 
     ends = np.asarray(window, dtype=float)
     if not (ends.shape == (2,) and np.all(np.isfinite(ends)) and ends[0] < ends[1]):
         raise InvalidInput("window must be two finite momenta lo < hi")
-    ends = gamma * (ends - u * np.sqrt(ends * ends + m * m))
+    ends = gamma * (ends - u * rel.energy(ends))
     return BoostedWave(
         evaluator=evaluator,
         residual_factor=residual,
@@ -138,13 +135,13 @@ def boost_minimal_packet(packet, u, spec=DEFAULT_SPEC):
 def boosted_wave_moments(wave, spec=DEFAULT_SPEC):
     """Direct quadrature moments of |Psi_b(p')|^2: norm, <E>, <p>, <v>, <v^2>,
     and <E^-3> (the boosted-frame uncertainty-bound weight)."""
-    m = wave.mass
+    rel = DispersionRelation.relativistic(wave.mass)
 
     def f(p_prime):
         vals = wave.evaluator(p_prime)
         dens = np.abs(vals) ** 2 / (2.0 * math.pi)
-        e = np.sqrt(p_prime * p_prime + m * m)
-        v = p_prime / e
+        e = rel.energy(p_prime)
+        v = rel.velocity(p_prime)
         w = np.stack(
             [np.ones_like(e), e, p_prime, v, v * v, e**-3], axis=1
         )

@@ -206,8 +206,8 @@ def _cmd_spread(args, spec):
     worst = 0.0
     for t in ts:
         analytic = spreading_width_sq(m0, float(t))
-        _, mean, second = evolved_moments(packet, float(t), m0, spec)
-        from_grid = second - mean * mean
+        mass, mean, second = evolved_moments(packet, float(t), m0, spec)
+        from_grid = second / mass - (mean / mass) ** 2
         diff = abs(analytic - from_grid)
         worst = max(worst, diff / max(analytic, 1e-30))
         rows.append((t, analytic, from_grid, diff))

@@ -3,10 +3,11 @@
 The metric (ds)^2 = (dt)^2 - R(t)^2 (d rho)^2 conserves the comoving
 momentum p_rho; physical momentum p = p_rho / R(t) is red-shifted as the
 universe grows. Packets are specified in physical momentum at t = 0 and
-carried forward through the conserved p_rho = p R(0). A comoving trace is
-therefore one momentum quadrature over the t = 0 packet: its weights carry
-the per-momentum time integral W(t, p) for every output time: adaptive
-Gauss-Kronrod integrals over the intervals between output times, summed.
+carried forward through the conserved p_rho = p R(0). A comoving moment is
+therefore the packet's closed-form t = 0 moment plus the statistics of the
+per-momentum drift W(t, p): one momentum quadrature whose weights take W at
+every output time from adaptive Gauss-Kronrod integrals over the intervals
+between output times, summed.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import numpy as np
 
 from .dispersion import Kind
 from .errors import InvalidInput, KindMismatch, NonConvergence, OverflowSignal
+from .moments import moments_closed_form
 from .numerics import DEFAULT_SPEC, _adaptive
 from .packet import expectation_many
 
@@ -104,11 +106,17 @@ ScaleFactorModel = Union[PowerLawScale, ExponentialScale, TabulatedScale]
 
 @dataclass(frozen=True)
 class ComovingTrace:
+    """Comoving moments per output time; the spread is stored central."""
+
     t_values: np.ndarray
     mean_rho: np.ndarray
-    mean_rho2: np.ndarray
+    var_rho: np.ndarray
     mean_x: np.ndarray
     mean_v: np.ndarray
+
+    @property
+    def mean_rho2(self):
+        return self.var_rho + self.mean_rho**2
 
 
 def classical_velocity(v0, r_start, r_now):
@@ -180,15 +188,16 @@ def _time_integral_grid(func, t_values, k, spec=DEFAULT_SPEC):
 
 
 def comoving_trace(packet, model, t_values, spec=DEFAULT_SPEC):
-    """Comoving moments <rho>(t), <rho^2>(t) and derived physical traces.
+    """Comoving moments <rho>(t), Var rho(t) and derived physical traces.
 
-    Because p_rho = p R(t) is conserved, every moment at every output time
-    is an integral over the t = 0 momentum: <rho>(t) = <x>(0)/R(0) + <W>,
-    <rho^2>(t) = <x^2>(0)/R(0)^2 + (2/R(0)) Re<W x> + <W^2>, with the
-    per-momentum weight W(t, p) = int_0^t v(p R(0)/R(t'))/R(t') dt'. All of
-    them, for all output times, come from one p-quadrature whose weights
-    take W at every t from one adaptive time integral per interval between
-    output times.
+    Because p_rho = p R(t) is conserved, rho(t) = x(0)/R(0) + W(t, p) with
+    the per-momentum drift W(t, p) = int_0^t v(p R(0)/R(t'))/R(t') dt'. So
+    <rho>(t) = <x>(0)/R(0) + <W> and Var rho(t) = Var x(0)/R(0)^2 + <W^2> -
+    <W>^2, with <x>(0) and Var x(0) from the closed forms: the x-W
+    covariance Re<W x> - <W><x> is 0 for a minimal packet, where
+    Re Phi* i Phi' = -beta_i |Phi|^2. The W statistics for all output times
+    come from one p-quadrature whose weights take W at every t from one
+    adaptive time integral per interval between output times.
     """
     _check_kind(packet)
     t_values = np.asarray(t_values, dtype=float)
@@ -198,9 +207,9 @@ def comoving_trace(packet, model, t_values, spec=DEFAULT_SPEC):
         raise InvalidInput("t_values must be finite")
     if np.any(t_values < 0.0) or np.any(np.diff(t_values) < 0.0):
         raise InvalidInput("t_values must be sorted ascending from 0")
+    m0 = moments_closed_form(packet)
 
     rel = packet.rel
-    alpha, beta_r, beta_i = packet.alpha, packet.beta_r, packet.beta_i
     r0 = float(_scale(model, 0.0))
     rt = _scale(model, t_values)
     k = len(t_values)
@@ -218,27 +227,20 @@ def comoving_trace(packet, model, t_values, spec=DEFAULT_SPEC):
         return rel.velocity(p * (r0 / r)) / r
 
     def weights(p):
-        d = beta_r - alpha * rel.velocity(p)
-        x_w = np.full_like(p, -beta_i)  # Re Phi* i Phi' / |Phi|^2
-        x2_w = d * d + beta_i * beta_i  # |Phi'|^2 / |Phi|^2
         w = np.concatenate([
             _time_integral_grid(lambda tp: drift(block, tp), grid, len(block), spec)[rows].T
             for block in np.split(p, range(_TIME_BLOCK, len(p), _TIME_BLOCK))
         ])
         v_now = rel.velocity(p[:, np.newaxis] * (r0 / rt))
-        return np.column_stack([x_w, x2_w, w, w * w, v_now])
+        return np.column_stack([w, w * w, v_now])
 
     vals, _ = expectation_many(packet, weights, spec)
-    vals = vals.real
-    w_mean, w_sq, mean_v = vals[2:].reshape(3, k)
-    mean_rho = vals[0] / r0 + w_mean
-    # Re<W x> = -beta_i <W>: as columns of their own, -beta_i W would be 0
-    # at beta_r = 0 with errors of size |beta_i|.
-    mean_rho2 = vals[1] / (r0 * r0) + (2.0 / r0) * (-beta_i * w_mean) + w_sq
+    w_mean, w_sq, mean_v = vals.real.reshape(3, k)
+    mean_rho = m0.mean_x / r0 + w_mean
     return ComovingTrace(
         t_values=t_values,
         mean_rho=mean_rho,
-        mean_rho2=mean_rho2,
+        var_rho=m0.var_x / r0**2 + (w_sq - w_mean * w_mean),
         mean_x=rt * mean_rho,
         mean_v=mean_v,
     )

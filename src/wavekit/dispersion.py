@@ -19,14 +19,6 @@ from .errors import CurvatureSingular, DomainError, InvalidInput
 __all__ = ["Kind", "DispersionRelation"]
 
 
-def _rel_energy(p, m):
-    """sqrt(p^2 + m^2). ``np.hypot`` rounds differently, so it runs only in
-    calls where p*p + m*m would overflow."""
-    if np.max(np.abs(p), initial=m) > 1e150:
-        return np.hypot(p, m)
-    return np.sqrt(p * p + m * m)
-
-
 class Kind(enum.Enum):
     NON_RELATIVISTIC = "nonrel"
     LATTICE = "lattice"
@@ -93,7 +85,7 @@ class DispersionRelation:
             a = self.lattice_spacing
             return -np.cos(p * a) / (m * a * a)
         if self.kind is Kind.RELATIVISTIC:
-            return _rel_energy(p, m)
+            return np.hypot(p, m)
         return np.abs(p)
 
     def velocity(self, p):
@@ -107,7 +99,7 @@ class DispersionRelation:
             a = self.lattice_spacing
             return np.sin(p * a) / (m * a)
         if self.kind is Kind.RELATIVISTIC:
-            return p / _rel_energy(p, m)
+            return p / np.hypot(p, m)
         return np.sign(p)
 
     def curvature(self, p):
@@ -124,7 +116,7 @@ class DispersionRelation:
         if self.kind is Kind.LATTICE:
             return np.cos(p * self.lattice_spacing) / m
         if self.kind is Kind.RELATIVISTIC:
-            e = _rel_energy(p, m)
+            e = np.hypot(p, m)
             return m * m / (e * e * e)
         if np.any(p == 0.0):
             raise CurvatureSingular(

@@ -376,8 +376,7 @@ def check_cosmology(spec=DEFAULT_SPEC):
     m0 = moments_quadrature(pk_rel, spec)
     worst_static = 0.0
     for i, t in enumerate(trace.t_values):
-        var = 4.0 * (trace.mean_rho2[i] - trace.mean_rho[i] ** 2)
-        worst_static = max(worst_static, abs(var - spreading_width_sq(m0, t)))
+        worst_static = max(worst_static, abs(4.0 * trace.var_rho[i] - spreading_width_sq(m0, t)))
 
     # Relativistic red-shift on R = 1 + t, where the time integral is exact:
     # W(t, p) = asinh(p/m) - asinh(p/(m (1 + t))).
@@ -387,13 +386,13 @@ def check_cosmology(spec=DEFAULT_SPEC):
 
     def exact(p):
         w = np.arcsinh(p / mass)[:, np.newaxis] - np.arcsinh(np.outer(p, 1.0 / (mass * (1.0 + ts))))
-        return np.column_stack([w, w * w, -pk_rel.beta_i * w])
+        return np.column_stack([w, w * w])
 
     vals, _ = expectation_many(pk_rel, exact, spec)
-    w_mean, w_sq, w_x = vals.real.reshape(3, len(ts))
+    w_mean, w_sq = vals.real.reshape(2, len(ts))
     worst_rr = float(max(
         np.max(np.abs(trace.mean_rho - (m0.mean_x + w_mean))),
-        np.max(np.abs(trace.mean_rho2 - (m0.mean_x2 + 2.0 * w_x + w_sq))),
+        np.max(np.abs(trace.var_rho - (m0.var_x + w_sq - w_mean**2))),
     ))
 
     checks = [

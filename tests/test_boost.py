@@ -153,6 +153,19 @@ class TestBoostedWave:
         with pytest.raises(KindMismatch):
             lorentz_boost_wavefunction(lambda p: p, 0.5, mass=0.0, window=(-1.0, 1.0))
 
+    @pytest.mark.filterwarnings("error")
+    def test_window_at_the_float_edge(self):
+        # E(p') = hypot(p', m) has no p'^2 to overflow: the mapped window
+        # stays finite and the residual reads v' = 1 at p' = 1e200.
+        u = 0.5
+        gamma = 1.0 / math.sqrt(1.0 - u * u)
+        wave = lorentz_boost_wavefunction(
+            lambda p: np.exp(-np.asarray(p) ** 2 + 0j), u, 1.0, (-1e200, 1e200)
+        )
+        assert all(math.isfinite(end) for end in wave.window)
+        assert wave.window[0] < wave.window[1]
+        assert wave.residual_factor(1e200).real == pytest.approx(math.sqrt(gamma * (1.0 + u)))
+
     @pytest.mark.parametrize("window", [(1.0, -1.0), (0.0, 0.0), (-1.0, math.inf), (math.nan, 1.0), (1.0,)])
     def test_invalid_window(self, window):
         with pytest.raises(InvalidInput):

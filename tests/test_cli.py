@@ -196,6 +196,16 @@ def test_readme_spread_to_rounding():
     assert json.loads(cp.stdout)["meta"]["max_rel_deviation"] <= 1e-12
 
 
+@pytest.mark.parametrize("kind", ["nonrel", "rel", "massless", "lattice"])
+def test_far_translated_spread_meets_the_gate(kind):
+    # The grid variance of the normalised density; the raw second moment
+    # minus <x>^2 cancelled beta_i^2 (nonrel read 4.96e-3 here).
+    cp = run_cli("spread", "--dispersion", kind, "--alpha", "1", "--beta-im", "1e5",
+                 "--format", "json")
+    assert cp.returncode == 0, cp.stderr
+    assert json.loads(cp.stdout)["meta"]["max_rel_deviation"] <= 1e-5
+
+
 def test_boost_report(tmp_path):
     out = tmp_path / "b.csv"
     cp = run_cli(

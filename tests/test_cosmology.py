@@ -163,15 +163,18 @@ def _exact_rel_moments(pk, ts):
 
 
 class TestComovingTrace:
-    def test_static_reduces_to_flat_spreading(self):
-        pk = make_minimal(REL, 1.0, 0.5, 0.0)
+    @pytest.mark.parametrize("beta_i", [0.0, 1e5])
+    def test_static_reduces_to_flat_spreading(self, beta_i):
+        # The spread is stored central, so beta_i^2 is never cancelled
+        # (a raw <rho^2> read 6e-5 relative here at beta_i = 1e5).
+        pk = make_minimal(REL, 1.0, 0.5, beta_i)
         static = PowerLawScale(exponent=0.0, reference=2.0, t_scale=1.0)
         ts = np.array([0.0, 1.0, 2.0, 5.0])
         trace = comoving_trace(pk, static, ts)
         m0 = moments_quadrature(pk)
         for i, t in enumerate(ts):
-            var_x = 4.0 * (trace.mean_rho2[i] - trace.mean_rho[i] ** 2)
-            assert abs(var_x - spreading_width_sq(m0, t)) <= 1e-6
+            expected = spreading_width_sq(m0, t)
+            assert abs(4.0 * trace.var_rho[i] - expected) <= 1e-12 * expected
             drift = m0.mean_x + m0.mean_v * t
             assert abs(trace.mean_x[i] - drift) <= 1e-7
 
@@ -194,8 +197,8 @@ class TestComovingTrace:
     @pytest.mark.parametrize("beta_r", [0.0, 0.5])
     def test_large_beta_i_is_a_shift(self, rel, beta_r):
         # beta_i = 1000 translates the packet by -1000: <rho> moves by
-        # -1000/R(0) = -1000, and the comoving spread and <v> stay. At
-        # beta_r = 0, Re<W x> is 0 with an integrand of size |beta_i|.
+        # -1000/R(0) = -1000, and the comoving spread and <v> stay. The
+        # spread sees beta_i in neither the W columns nor the closed var_x.
         ts = np.linspace(0.0, 5.0, 6)
         base = comoving_trace(make_minimal(rel, 1.0, beta_r, 0.0), EXPANDING, ts)
         moved = comoving_trace(make_minimal(rel, 1.0, beta_r, 1000.0), EXPANDING, ts)
@@ -203,6 +206,7 @@ class TestComovingTrace:
         np.testing.assert_allclose(
             moved.mean_rho2, base.mean_rho2 - 2000.0 * base.mean_rho + 1e6, rtol=1e-12
         )
+        np.testing.assert_array_equal(moved.var_rho, base.var_rho)
         np.testing.assert_allclose(moved.mean_x, base.mean_x - 1000.0 * EXPANDING.scale(ts), rtol=1e-12)
         np.testing.assert_allclose(moved.mean_v, base.mean_v, rtol=0.0, atol=1e-12)
 
