@@ -26,7 +26,13 @@ __all__ = [
 
 
 def evolved_moments(packet, t, m0=None, spec=DEFAULT_SPEC):
-    """(mass, <x>, <x^2>) of the evolved coordinate-space density.
+    """Raw (mass, <x>, <x^2>) of the evolved density, from ``_evolved_central``."""
+    mass, mean, var = _evolved_central(packet, t, m0, spec)
+    return mass, mass * mean, mass * (var + mean * mean)
+
+
+def _evolved_central(packet, t, m0, spec):
+    """(mass, <x>, Var x) of the normalised evolved density.
 
     Continuum kinds integrate over theta in (-pi/2, pi/2) with
     x = c + w u, u = tan(theta), where c and w^2 are the predicted drift and
@@ -35,9 +41,10 @@ def evolved_moments(packet, t, m0=None, spec=DEFAULT_SPEC):
     columns |Phi|^2 w sec^2(theta) [1, (1 + u)^2, (1 - u)^2] are positive,
     so each meets the relative tolerance: a <u> column, near 0 by
     construction, could only meet the absolute floor through rounding.
-    Their sums P and M give <u> = (P - M)/4 and <u^2> = (P + M)/2 - mass.
+    Their sums P and M give <u> = (P - M)/4 and <u^2> = (P + M)/2 - mass,
+    so Var x = w^2 (<u^2> - <u>^2) per unit mass never meets c ~ -beta_i.
     The rule starts from 16 equal panels, which costs fewer adaptive rounds
-    than it adds points. The lattice sums its sites.
+    than it adds points. The lattice sums offsets from site n_0 in two passes.
     """
     rel = packet.rel
     if m0 is None:
@@ -49,12 +56,11 @@ def evolved_moments(packet, t, m0=None, spec=DEFAULT_SPEC):
         a = rel.lattice_spacing
         reach = int(math.ceil((12.0 * width + 10.0 * a) / a))
         n0 = int(round(-packet.beta_i / a))
-        sites = (np.arange(-reach, reach + 1) + n0) * a
-        probs = a * np.abs(evolve_closed(packet, sites, t)) ** 2
-        mass = probs.sum()
-        mean = float((sites * probs).sum())
-        second = float((sites * sites * probs).sum())
-        return mass, mean, second
+        k = np.arange(-reach, reach + 1)
+        probs = a * np.abs(evolve_closed(packet, (k + n0) * a, t)) ** 2
+        mass = float(probs.sum())
+        mean_k = float((k * probs).sum()) / mass
+        return mass, (n0 + mean_k) * a, a * a * float(((k - mean_k) ** 2 * probs).sum()) / mass
 
     def f(theta):
         u = np.tan(theta)
@@ -63,11 +69,9 @@ def evolved_moments(packet, t, m0=None, spec=DEFAULT_SPEC):
 
     sums, _ = _adaptive(f, -0.5 * math.pi, 0.5 * math.pi, spec, initial_panels=16)
     mass, plus, minus = sums.real
-    mean_u = 0.25 * (plus - minus)
-    second_u = 0.5 * (plus + minus) - mass
-    mean = center * mass + width * mean_u
-    second = center * center * mass + 2.0 * center * width * mean_u + width * width * second_u
-    return float(mass), float(mean), float(second)
+    mean_u = 0.25 * (plus - minus) / mass
+    second_u = (0.5 * (plus + minus) - mass) / mass
+    return float(mass), float(center + width * mean_u), float(width * width * (second_u - mean_u * mean_u))
 
 
 def _refine_peak(x, y, j):

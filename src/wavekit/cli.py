@@ -27,7 +27,7 @@ import warnings
 
 import numpy as np
 
-from .analysis import evolved_moments
+from .analysis import _evolved_central
 from .boost import (
     BoostParams,
     boost_minimal_packet,
@@ -39,6 +39,7 @@ from .cosmology import ExponentialScale, PowerLawScale, TabulatedScale, comoving
 from .dispersion import DispersionRelation
 from .errors import ConfigError, NonConvergence, WavekitError
 from .moments import (
+    MomentSet,
     moments_closed_form,
     moments_quadrature,
     spreading_width_sq,
@@ -144,25 +145,22 @@ def _grid_from(args, key):
 
 
 def _cmd_moments(args, spec):
+    """The bound's quadrature column is the oracle's (1/2)|<E''>|; massless has none."""
     packet = _packet_from(args)
     method = args.method
     closed = moments_closed_form(packet) if method in ("closed", "both") else None
     quad = moments_quadrature(packet, spec) if method in ("quadrature", "both") else None
-    rows = []
-    max_diff = 0.0
-    base = closed or quad
-    for field in base.FIELDS:
-        c = getattr(closed, field) if closed else None
-        q = getattr(quad, field) if quad else None
-        diff = abs(c - q) if (c is not None and q is not None) else None
-        if diff is not None:
-            max_diff = max(max_diff, diff)
-        rows.append((field, c, q, diff))
-    bound = uncertainty_bound(packet, spec)
-    rows.append(("uncertainty_bound", bound, bound, 0.0))
-    source = quad if quad is not None else closed
-    residual = source.width_x * source.width_v - bound
-    rows.append(("saturation_residual", residual, residual, 0.0))
+
+    def row(name, c, q):
+        return (name, c, q, abs(c - q) if (c is not None and q is not None) else None)
+
+    rows = [row(f, getattr(closed, f, None), getattr(quad, f, None)) for f in MomentSet.FIELDS]
+    max_diff = max((r[3] for r in rows if r[3] is not None), default=0.0)
+    bound = uncertainty_bound(packet)
+    curv = getattr(quad, "mean_curv", None)
+    rows.append(row("uncertainty_bound", bound, None if curv is None else 0.5 * abs(curv)))
+    residuals = [m and m.width_x * m.width_v - bound for m in (closed, quad)]
+    rows.append(row("saturation_residual", *residuals))
     meta = {
         "tolerance": args.tol,
         "max_abs_diff": _canon(max_diff),
@@ -206,8 +204,7 @@ def _cmd_spread(args, spec):
     worst = 0.0
     for t in ts:
         analytic = spreading_width_sq(m0, float(t))
-        mass, mean, second = evolved_moments(packet, float(t), m0, spec)
-        from_grid = second / mass - (mean / mass) ** 2
+        from_grid = _evolved_central(packet, float(t), m0, spec)[2]
         diff = abs(analytic - from_grid)
         worst = max(worst, diff / max(analytic, 1e-30))
         rows.append((t, analytic, from_grid, diff))
@@ -301,7 +298,7 @@ def _cmd_figures(args, spec):
     if not os.path.isdir(args.out_dir):
         raise ConfigError(f"--out-dir {args.out_dir} is not a directory")
     for idx in indices:
-        grids = figure_grid(idx, spec)
+        grids = figure_grid(idx)
         columns = ("beta", "t", "x", "density") if len(grids) > 1 else ("t", "x", "density")
         rows = []
         for pk, grid in grids:

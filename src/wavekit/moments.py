@@ -6,8 +6,8 @@ than numeric differencing. ``moments_closed_form`` carries every per-kind
 closed form: Gaussian moments for the non-relativistic continuum, the
 I_0/I_1 list for the lattice, the K_0/K_1 list (plus a semi-infinite
 K_0 integral) for the relativistic case, and rational forms for the
-massless limit. Fields with no closed form are left absent (None), which
-is not the same as zero.
+massless limit, each with its <E''> for the uncertainty bound. Fields with
+no closed form are left absent (None), which is not the same as zero.
 """
 
 from __future__ import annotations
@@ -42,7 +42,8 @@ class Provenance(enum.Enum):
 class MomentSet:
     """Moments of one packet, the spread stored central: var_x, var_v and
     cov_vx = (1/2)<vx+xv> - <v><x>. Only here do mean_x2, mean_v2 and corr_vx
-    derive from them, so a translation beta_i costs the widths no digits."""
+    derive from them, so a translation beta_i costs the widths no digits.
+    mean_curv is <d^2E/dp^2>; half its magnitude is the uncertainty bound."""
 
     mean_x: float | None
     var_x: float | None
@@ -54,6 +55,7 @@ class MomentSet:
     mean_E2: float | None
     cov_vx: float | None
     provenance: Provenance
+    mean_curv: float | None = None
 
     FIELDS = (
         "mean_x",
@@ -97,6 +99,7 @@ def moments_quadrature(packet, spec=DEFAULT_SPEC):
     of (v - beta_r/alpha)^2 |Phi|^2 / 2pi, both central by <v> = beta_r/alpha;
     beta_i, a pure translation, enters neither. The connected correlation
     is exactly 0: Re (v Phi)* i Phi' = -beta_i v |Phi|^2 integrates to <v><x>.
+    The massless curvature 2 delta(p) has no quadrature form: mean_curv None.
     """
     rel = packet.rel
     alpha, beta_r, beta_i = packet.alpha, packet.beta_r, packet.beta_i
@@ -107,7 +110,8 @@ def moments_quadrature(packet, spec=DEFAULT_SPEC):
         d = beta_r - alpha * v
         dv = v - beta_r / alpha
         x_w = np.full_like(p, -beta_i)  # Re Phi* i Phi' / |Phi|^2
-        return np.stack([v, dv * dv, p, p * p, e, e * e, x_w, d * d], axis=1)
+        curv = np.zeros_like(p) if rel.kind is Kind.MASSLESS else rel.curvature(p)
+        return np.stack([v, dv * dv, p, p * p, e, e * e, x_w, d * d, curv], axis=1)
 
     vals, _ = expectation_many(packet, weights, spec)
     return MomentSet(
@@ -121,22 +125,28 @@ def moments_quadrature(packet, spec=DEFAULT_SPEC):
         mean_E2=float(vals[5].real),
         cov_vx=0.0,
         provenance=Provenance.QUADRATURE,
+        mean_curv=None if rel.kind is Kind.MASSLESS else float(vals[8].real),
     )
 
 
-def relativistic_k0_integral(mass, alpha, beta_r):
-    """int_alpha^inf K_0(2m sqrt(a^2 - beta_r^2)) da as one fixed trapezoid sum.
-    By K_0(2m sqrt(a^2 - b^2)) = (1/2) int exp(-2m(a cosh th - b sinh th)) dth it
-    is (e^-z/4m) int exp(-2z sinh^2(u/2)) / cosh(u + th_0) du, z = 2ms, s^2 =
-    (alpha - beta_r)(alpha + beta_r), sinh th_0 = beta_r/s: analytic in a strip,
-    so step min(0.2, 0.5/sqrt z) converges geometrically (Trefethen-Weideman 2014)."""
+def _rapidity_sum(mass, alpha, beta_r, power):
+    """e^-z int exp(-2z sinh^2(u/2)) / cosh^power(u + th_0) du as one fixed
+    trapezoid sum, z = 2ms, s^2 = (alpha - beta_r)(alpha + beta_r), sinh th_0 =
+    beta_r/s: analytic in a strip, so step min(0.2, 0.5/sqrt z) converges
+    geometrically (Trefethen-Weideman 2014)."""
     s = math.sqrt((alpha - beta_r) * (alpha + beta_r))
     z = 2.0 * mass * s
     h = min(0.2, 0.5 / math.sqrt(z))
     k = int(math.acosh(1.0 + 40.0 / z) / h)
     u = h * np.arange(-k, k + 1)
-    terms = np.exp(-2.0 * z * np.sinh(0.5 * u) ** 2) / np.cosh(u + math.asinh(beta_r / s))
-    return math.exp(-z) / (4.0 * mass) * h * float(terms.sum())
+    terms = np.exp(-2.0 * z * np.sinh(0.5 * u) ** 2) / np.cosh(u + math.asinh(beta_r / s)) ** power
+    return math.exp(-z) * h * float(terms.sum())
+
+
+def relativistic_k0_integral(mass, alpha, beta_r):
+    """int_alpha^inf K_0(2m sqrt(a^2 - beta_r^2)) da: by K_0(2m sqrt(a^2 - b^2)) =
+    (1/2) int exp(-2m(a cosh th - b sinh th)) dth, the power-1 rapidity sum / 4m."""
+    return _rapidity_sum(mass, alpha, beta_r, 1) / (4.0 * mass)
 
 
 def moments_closed_form(packet):
@@ -144,6 +154,8 @@ def moments_closed_form(packet):
 
     The spreads are central, so they are the same at every beta_i: a
     nonzero beta_i only translates the packet, shifting <x> by -beta_i.
+    <E''> is 1/m, <cos pa>/m, m^2 <E^-3> (the rapidity sum of power 2) and,
+    massless, <2 delta(p)> = 2|Phi(0)|^2/2pi = 2 s^2/alpha.
     """
     rel = packet.rel
     alpha, beta_r, beta_i = packet.alpha, packet.beta_r, packet.beta_i
@@ -165,6 +177,7 @@ def moments_closed_form(packet):
             mean_p2=p2,
             mean_E=p2 / (2.0 * m),
             mean_E2=p4 / (4.0 * m * m),
+            mean_curv=1.0 / m,
         )
     elif rel.kind is Kind.LATTICE:
         m, a = rel.mass, rel.lattice_spacing
@@ -180,6 +193,7 @@ def moments_closed_form(packet):
             mean_p2=None,  # no closed form in I_0, I_1
             mean_E=-ratio / (m * a * a),
             mean_E2=(1.0 - m * a * a * ratio / (2.0 * alpha)) / (m * a * a) ** 2,
+            mean_curv=ratio / m,
         )
     elif rel.kind is Kind.RELATIVISTIC:
         m = rel.mass
@@ -200,6 +214,7 @@ def moments_closed_form(packet):
             mean_p2=mean_p2,
             mean_E=alpha / s**2 * kfac - 1.0 / (2.0 * alpha),
             mean_E2=mean_p2 + m**2,
+            mean_curv=s * _rapidity_sum(m, alpha, beta_r, 2) / (2.0 * m * alpha * k1),
         )
     else:  # massless
         mean_p2 = (alpha**2 + 3.0 * beta_r**2) / (2.0 * s2**2)
@@ -211,6 +226,7 @@ def moments_closed_form(packet):
             mean_p2=mean_p2,
             mean_E=(alpha**2 + beta_r**2) / (2.0 * alpha * s2),
             mean_E2=mean_p2,
+            mean_curv=2.0 * s2 / alpha,
         )
 
     # Minimal packets have vanishing connected position-velocity correlation.
@@ -222,21 +238,9 @@ def moments_closed_form(packet):
     )
 
 
-def uncertainty_bound(packet, spec=DEFAULT_SPEC):
-    """(1/2) |<d^2E/dp^2>| for the packet.
-
-    The massless curvature is 2 delta(p); its expectation is taken
-    analytically as the momentum density at p = 0 rather than through any
-    finite-difference stencil, which would be mesh-dependent garbage.
-    """
-    rel = packet.rel
-    if rel.kind is Kind.MASSLESS:
-        # <2 delta(p)> = 2 |Phi(0)|^2 / 2pi; E(0) = 0 so |Phi(0)| = A.
-        return 0.5 * 2.0 * packet.norm_A**2 / (2.0 * math.pi)
-    vals, _ = expectation_many(
-        packet, lambda p: rel.curvature(p)[:, np.newaxis], spec
-    )
-    return 0.5 * abs(float(vals[0].real))
+def uncertainty_bound(packet):
+    """(1/2) |<d^2E/dp^2>| for the packet, from the closed forms."""
+    return 0.5 * abs(moments_closed_form(packet).mean_curv)
 
 
 def ehrenfest_position(m0, t):

@@ -16,8 +16,8 @@ import numpy as np
 
 from . import numerics
 from .analysis import (
+    _evolved_central,
     centroid_slope,
-    evolved_moments,
     peak_positions,
     ridge_slope,
     second_difference_sign_changes,
@@ -114,7 +114,7 @@ def check_saturation(spec=DEFAULT_SPEC):
     worst = 0.0
     for kind, pk in reference_packets():
         mq = moments_quadrature(pk, spec)
-        residual = abs(mq.width_x * mq.width_v - uncertainty_bound(pk, spec))
+        residual = abs(mq.width_x * mq.width_v - uncertainty_bound(pk))
         worst = max(worst, residual)
     return _result("saturation", worst, 1e-7)
 
@@ -135,8 +135,7 @@ def check_spreading_law(spec=DEFAULT_SPEC):
     for kind, pk in _spreading_packets():
         m0 = moments_quadrature(pk, spec)
         for t in (0.0, 1.0, 2.0, 5.0):
-            _, mean, second = evolved_moments(pk, t, m0, spec)
-            var = second - mean * mean
+            _, mean, var = _evolved_central(pk, t, m0, spec)
             pred_var = spreading_width_sq(m0, t)
             pred_mean = ehrenfest_position(m0, t)
             worst_var = max(worst_var, abs(var - pred_var) / pred_var)
@@ -254,7 +253,7 @@ def check_lorentz_suite(spec=DEFAULT_SPEC):
     return "lorentz-suite", passed, detail
 
 
-def figure_grid(which, spec=DEFAULT_SPEC):
+def figure_grid(which):
     """Density grids for the four reference spreading scenarios: Gaussian,
     lattice, relativistic, and massless packets."""
     t_vals = np.linspace(0.0, 10.0, 21)
@@ -277,7 +276,7 @@ def figure_grid(which, spec=DEFAULT_SPEC):
         packets = [make_minimal(rel, 1.0, b, 0.0) for b in (0.0, 0.5)]
     else:
         raise ValueError("figure index must be 1..4")
-    return [(pk, density_grid(pk, xs, t_vals, "closed", spec)) for pk in packets]
+    return [(pk, density_grid(pk, xs, t_vals)) for pk in packets]
 
 
 def check_figures(spec=DEFAULT_SPEC):
@@ -285,24 +284,24 @@ def check_figures(spec=DEFAULT_SPEC):
     details = []
     ok = True
 
-    pk1, grid1 = figure_grid(1, spec)[1]
+    pk1, grid1 = figure_grid(1)[1]
     slope1 = ridge_slope(grid1)
     ok &= abs(slope1 - 0.5) <= 0.01
     details.append(f"fig1 slope {slope1:.4f} (0.5 +/- 2%)")
 
-    _, grid2 = figure_grid(2, spec)[0]
+    _, grid2 = figure_grid(2)[0]
     changes = second_difference_sign_changes(grid2.density[-1])
     ok &= changes >= 3
     details.append(f"fig2 curvature sign changes {changes} >= 3")
 
     # The relativistic packet is skewed: its density mode outruns <v>, so
     # the drift is measured from the centroid, which follows Ehrenfest.
-    pk3, grid3 = figure_grid(3, spec)[1]
+    pk3, grid3 = figure_grid(3)[1]
     slope3 = centroid_slope(grid3)
     ok &= abs(slope3 - 0.5) <= 0.01
     details.append(f"fig3 centroid slope {slope3:.4f} (0.5 +/- 2%)")
 
-    _, grid4 = figure_grid(4, spec)[0]
+    _, grid4 = figure_grid(4)[0]
     row5 = grid4.density[list(grid4.t_values).index(5.0)]
     peaks = sorted(peak_positions(grid4.x_values, row5, max_peaks=2))
     bimodal = len(peaks) == 2 and abs(peaks[0] + 5.0) <= 0.5 and abs(peaks[1] - 5.0) <= 0.5

@@ -4,9 +4,10 @@ import math
 
 import pytest
 
+from wavekit import numerics
 from wavekit.analysis import evolved_moments
 from wavekit.boost import boost_minimal_packet, boosted_wave_moments
-from wavekit.dispersion import DispersionRelation
+from wavekit.dispersion import DispersionRelation, Kind
 from wavekit.moments import (
     MomentSet,
     Provenance,
@@ -18,6 +19,7 @@ from wavekit.moments import (
     uncertainty_bound,
 )
 from wavekit.packet import make_minimal
+from wavekit.selfcheck import reference_packets
 
 NONREL = DispersionRelation.non_relativistic(3.0)
 LATTICE = DispersionRelation.lattice(3.0, 1.0)
@@ -262,6 +264,61 @@ def test_rel_closed_forms_near_light_speed(mass, alpha, ratio):
     for field in MomentSet.FIELDS:
         if getattr(mc, field) is not None:
             assert _rel_diff(getattr(mq, field), getattr(mc, field)) <= 1e-8, field
+
+
+CURV_PACKETS = [pk for _, pk in reference_packets()] + [
+    make_minimal(DispersionRelation.relativistic(5.0), 100.0, r * 100.0, 0.0) for r in (0.9, 0.99, 0.999)
+]
+
+
+@pytest.mark.parametrize("pk", CURV_PACKETS, ids=lambda pk: f"{pk.rel.kind.value}-a{pk.alpha}-b{pk.beta_r}")
+def test_mean_curv_against_the_oracle(pk):
+    closed, quad = moments_closed_form(pk).mean_curv, moments_quadrature(pk).mean_curv
+    if pk.rel.kind is Kind.MASSLESS:
+        # 2 delta(p) has no quadrature form; <2 delta(p)> = 2 |Phi(0)|^2 / 2pi.
+        assert quad is None
+        assert closed == pytest.approx(pk.norm_A**2 / math.pi, rel=1e-14)
+    else:
+        assert abs(closed - quad) <= 1e-8 * abs(quad)
+
+
+def _curv_mpmath(mpmath, mass, alpha, beta_r):
+    """m^2 <E^-3> at 30 digits from the float inputs: the ratio of two momentum
+    integrals of the unnormalised density, split at p = 0, where E^-3 peaks,
+    and at the density peak p = m beta_r / s."""
+    m, a, b = (mpmath.mpf(v) for v in (mass, alpha, beta_r))
+    s = mpmath.sqrt((a - b) * (a + b))
+    peak = m * b / s
+    dens = lambda p: mpmath.exp(-2 * a * (mpmath.hypot(p, m) - m * a / s) + 2 * b * (p - peak))
+    cuts = sorted({-mpmath.inf, mpmath.mpf(0), peak, mpmath.inf})
+    num = mpmath.quad(lambda p: m**2 / mpmath.hypot(p, m) ** 3 * dens(p), cuts)
+    return num / mpmath.quad(dens, cuts)
+
+
+@pytest.mark.parametrize(
+    "mass, alpha, ratio",
+    [(1.0, 1.0, 0.0), (1.0, 1.0, 0.5), (0.01, 0.5, 0.3), (0.5, 2.0, 0.9), (5.0, 100.0, 0.99),
+     (5.0, 100.0, 0.999), (1.0, 10.0, 0.9999)],
+)
+def test_rel_mean_curv_against_mpmath(mass, alpha, ratio):
+    # The quadrature oracle is 1.3e-12 off at ratio 0.999; the rapidity sum ~1e-15.
+    mpmath = pytest.importorskip("mpmath")
+    pk = make_minimal(DispersionRelation.relativistic(mass), alpha, ratio * alpha, 0.0)
+    with mpmath.workdps(30):
+        ref = float(_curv_mpmath(mpmath, mass, pk.alpha, pk.beta_r))
+    assert abs(moments_closed_form(pk).mean_curv - ref) <= 1e-13 * ref
+
+
+@pytest.mark.parametrize("rel", [NONREL, LATTICE, REL, MASSLESS], ids=["nonrel", "lattice", "rel", "massless"])
+def test_uncertainty_bound_runs_no_quadrature(monkeypatch, rel):
+    pk = make_minimal(rel, 1.0, 0.0 if rel is LATTICE else 0.5, 0.0)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("uncertainty_bound ran a quadrature")
+
+    monkeypatch.setattr(numerics, "_adaptive", refuse)
+    monkeypatch.setattr(numerics, "_periodic", refuse)
+    assert uncertainty_bound(pk) > 0.0
 
 
 class TestUncertaintyBound:
