@@ -55,7 +55,7 @@ def _evolved_central(packet, t, m0, spec):
     if rel.kind is Kind.LATTICE:
         a = rel.lattice_spacing
         reach = int(math.ceil((12.0 * width + 10.0 * a) / a))
-        n0 = int(round(-packet.beta_i / a))
+        n0 = rel._sites(-packet.beta_i)
         k = np.arange(-reach, reach + 1)
         probs = a * np.abs(evolve_closed(packet, (k + n0) * a, t)) ** 2
         mass = float(probs.sum())

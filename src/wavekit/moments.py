@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dispersion import Kind
+from .errors import OverflowSignal
 from .numerics import DEFAULT_SPEC, _bessel_i_vec, _bessel_k01_vec
 from .packet import expectation_many
 
@@ -71,15 +72,17 @@ class MomentSet:
 
     @property
     def mean_x2(self):
-        return None if self.var_x is None else self.var_x + self.mean_x**2
+        return None if self.var_x is None else _finite(lambda: self.var_x + self.mean_x**2)
 
     @property
     def mean_v2(self):
-        return None if self.var_v is None else self.var_v + self.mean_v**2
+        return None if self.var_v is None else _finite(lambda: self.var_v + self.mean_v**2)
 
     @property
     def corr_vx(self):
-        return None if self.cov_vx is None else 2.0 * (self.cov_vx + self.mean_v * self.mean_x)
+        if self.cov_vx is None:
+            return None
+        return _finite(lambda: 2.0 * (self.cov_vx + self.mean_v * self.mean_x))
 
     @property
     def width_x(self):
@@ -88,6 +91,18 @@ class MomentSet:
     @property
     def width_v(self):
         return math.sqrt(self.var_v)
+
+
+def _finite(raw):
+    """The raw moment ``raw()``; ``OverflowSignal`` where it leaves the float
+    range (float ** raises past ~1.3e154, a product turns inf)."""
+    try:
+        value = raw()
+        if math.isfinite(value):
+            return value
+    except OverflowError:
+        pass
+    raise OverflowSignal("a raw second moment leaves the float range; the central ones do not")
 
 
 def moments_quadrature(packet, spec=DEFAULT_SPEC):

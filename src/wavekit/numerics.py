@@ -179,16 +179,14 @@ def _gk_panels(f, a, b):
     return q, e, shape
 
 
-def _fill(f, rows, a, b, store, per_call, tol):
-    """Put the panels [a_i, b_i] into the store's ``rows`` with their value,
-    error and priority (largest err/tol), ``per_call`` panels per integrand
-    call."""
-    pa, pb, pq, pe, prio = store
+def _fill(f, rows, a, b, store, per_call):
+    """Put the panels [a_i, b_i] into the store's ``rows`` with their value
+    and error, ``per_call`` panels per integrand call."""
+    pa, pb, pq, pe = store
     pa[rows], pb[rows] = a, b
     for j in range(0, len(rows), per_call):
         r = rows[j:j + per_call]
-        q, e, _ = _gk_panels(f, a[j:j + per_call], b[j:j + per_call])
-        pq[r], pe[r], prio[r] = q, e, np.max(_ratio(e, tol), axis=1)
+        pq[r], pe[r], _ = _gk_panels(f, a[j:j + per_call], b[j:j + per_call])
 
 
 def _ratio(err, tol):
@@ -231,7 +229,7 @@ def _adaptive(f, lo, hi, spec, breakpoints=(), initial_panels=1):
     (scalar integrands give 0-d arrays). Each panel costs 21 evaluations:
     its value is the Kronrod sum and its error |K21 - G10|, the Gauss rule
     sharing every other node. Each round splits, in one batch, the panels of
-    highest priority (largest err/tol when they were made) until their
+    highest priority (largest err/tol at the round's tolerance) until their
     errors cover the excess of the total error over the tolerance, never
     past ``_MAX_SUBDIVISIONS``. The very first call is one panel and
     tells the rule the integrand's width; after it, the remaining initial
@@ -257,15 +255,12 @@ def _adaptive(f, lo, hi, spec, breakpoints=(), initial_panels=1):
     per_call = max(1, _CALL_ELEMENTS // (len(_GK_NODES) * max(width, 1)))
     n = len(edges) - 1
     cap = 2 * n
-    store = (np.empty(cap), np.empty(cap), np.empty((cap, width), dtype=complex),
-             np.empty((cap, width)), np.empty(cap))
-    pa, pb, pq, pe, prio = store
+    store = (np.empty(cap), np.empty(cap), np.empty((cap, width), dtype=complex), np.empty((cap, width)))
+    pa, pb, pq, pe = store
     pa[0], pb[0], pq[0], pe[0] = edges[0], edges[1], q[0], e[0]
-    _fill(f, np.arange(1, n), edges[1:-1], edges[2:], store, per_call, 1.0)
+    _fill(f, np.arange(1, n), edges[1:-1], edges[2:], store, per_call)
     total = pq[:n].sum(axis=0)
     toterr = pe[:n].sum(axis=0)
-    # The initial priorities need the tolerance of the initial total.
-    prio[:n] = np.max(_ratio(pe[:n], rtol * np.abs(total) + floor), axis=1)
     splits = 0
     scale = max(abs(lo), abs(hi), 1.0)
 
@@ -287,7 +282,7 @@ def _adaptive(f, lo, hi, spec, breakpoints=(), initial_panels=1):
                 "adaptive quadrature exhausted %d subdivisions" % splits,
                 pa[:n], pb[:n], pe[:n], tol, total, toterr, shape,
             )
-        order = np.argsort(-prio[:n], kind="stable")[:budget]
+        order = np.argsort(-np.max(_ratio(pe[:n], tol), axis=1), kind="stable")[:budget]
         sel = _cover(order, pe, toterr - tol)
         a, b = pa[sel], pb[sel]
         narrow = b - a <= 1e-15 * scale
@@ -304,7 +299,7 @@ def _adaptive(f, lo, hi, spec, breakpoints=(), initial_panels=1):
             # is most of the rule's memory.
             cap = n + k
             store = tuple(np.concatenate([x[:n], np.empty((k,) + x.shape[1:], x.dtype)]) for x in store)
-            pa, pb, pq, pe, prio = store
+            pa, pb, pq, pe = store
         # Masked sums over the store: gathering the rows would copy them.
         mask = np.zeros((n + k, 1), dtype=bool)
         mask[sel] = True
@@ -313,8 +308,7 @@ def _adaptive(f, lo, hi, spec, breakpoints=(), initial_panels=1):
         # Left children replace their parents; right children are appended.
         rows = np.column_stack([sel, np.arange(n, n + k)]).ravel()
         mid = 0.5 * (a + b)
-        _fill(f, rows, np.column_stack([a, mid]).ravel(), np.column_stack([mid, b]).ravel(),
-              store, per_call, tol)
+        _fill(f, rows, np.column_stack([a, mid]).ravel(), np.column_stack([mid, b]).ravel(), store, per_call)
         mask[n:] = True
         total = total + pq[:n + k].sum(axis=0, where=mask)
         toterr = toterr + pe[:n + k].sum(axis=0, where=mask)

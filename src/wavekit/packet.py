@@ -37,8 +37,6 @@ from .numerics import (
 
 __all__ = ["PacketParams", "MomentTargets", "make_minimal", "solve_parameters"]
 
-_SITE_TOL = 1e-9  # tolerance for beta_i/a being an integer
-
 
 @dataclass(frozen=True)
 class PacketParams:
@@ -94,12 +92,11 @@ def _validate_params(rel, alpha, beta_r, beta_i):
             "relativistic and massless packets require alpha > |beta_r|"
         )
     if rel.kind is Kind.LATTICE:
-        a = rel.lattice_spacing
         if beta_r != 0.0:
             raise LatticePeriodicityError(
                 "lattice periodicity over the Brillouin zone forces beta_r = 0"
             )
-        if abs(beta_i / a - round(beta_i / a)) > _SITE_TOL:
+        if rel._sites(beta_i) is None:
             raise LatticePeriodicityError(
                 "lattice packets require beta_i to be an integer multiple of a"
             )
@@ -220,8 +217,7 @@ def solve_parameters(rel, targets, mode="alpha"):
     if rel.kind is Kind.LATTICE:
         if targets.mean_velocity != 0.0:
             raise Unsatisfiable("lattice minimal packets do not move sideways")
-        a = rel.lattice_spacing
-        if abs(targets.mean_position / a - round(targets.mean_position / a)) > _SITE_TOL:
+        if rel._sites(targets.mean_position) is None:
             raise Unsatisfiable("lattice packets must be centered on a lattice site")
 
     v = float(targets.mean_velocity)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dispersion import Kind
-from .errors import InvalidInput, LightConeSingular, NonConvergence, NonIntegerSite
+from .errors import InvalidInput, LightConeSingular, NonConvergence, NonIntegerSite, OverflowSignal
 from .numerics import (
     DEFAULT_SPEC,
     _amplitude,
@@ -61,18 +61,28 @@ class DensityGrid:
     method: str
 
 
-def _site_indices(rel, x):
-    a = rel.lattice_spacing
-    # A finite x past float max times a divides to inf, which passes the
-    # site test (inf - inf is nan) and reaches the clip below.
-    with np.errstate(over="ignore", invalid="ignore"):
-        n = np.asarray(x, dtype=float) / a
-        n_round = np.round(n)
-        off_site = np.abs(n - n_round) > 1e-9 * np.maximum(1.0, np.abs(n))
-    if np.any(off_site):
+def _site_sum(rel, *positions):
+    """Sum of the site numbers of lattice ``positions``, added as float64
+    integers (exact below 2^53); ``NonIntegerSite`` if any is off the sites,
+    ``OverflowSignal`` where infinite site numbers of both signs meet."""
+    sites = [rel._sites(x) for x in positions]
+    if any(n is None for n in sites):
         raise NonIntegerSite("lattice Green's function is defined on x = n a only")
-    # Every row has underflowed by order 2^62, so the clip leaves G = 0 there.
-    return np.clip(n_round, -(2.0**62), 2.0**62).astype(np.int64)
+    with np.errstate(invalid="ignore"):
+        total = sum(sites)
+    if np.any(np.isnan(total)):
+        raise OverflowSignal("lattice site numbers past float max cancel in a sum")
+    return total
+
+
+def _lattice_greens(rel, n, t):
+    """G = I_n(i t / m a^2) / a at float64 site numbers ``n``. Every row has
+    underflowed by order 2^62, so the clip before the integer cast leaves
+    G = 0 there, at infinite site numbers too."""
+    a = rel.lattice_spacing
+    n = np.clip(n, -(2.0**62), 2.0**62).astype(np.int64)
+    vals, _ = _bessel_i_vec(n, 1j * complex(t) / (rel.mass * a * a))
+    return vals / a
 
 
 def _require_off_cone(x, t):
@@ -131,11 +141,7 @@ def greens_closed(rel, x, t):
     elif rel.kind is Kind.LATTICE:
         if np.iscomplexobj(x) and np.any(np.asarray(x).imag != 0.0):
             raise InvalidInput("lattice sites are real; continuation enters via t")
-        a = rel.lattice_spacing
-        n = _site_indices(rel, np.real(x))
-        z = 1j * complex(t) / (m * a * a)
-        vals, _ = _bessel_i_vec(n, z)
-        out = vals / a
+        out = _lattice_greens(rel, _site_sum(rel, np.real(x)), t)
     elif rel.kind is Kind.RELATIVISTIC:
         out = _greens_relativistic(m, x, t)
     else:  # massless
@@ -153,17 +159,17 @@ def evolve_closed(packet, x, t):
     """Phi(x, t) = A G(x - i beta, t - i alpha).
 
     The complex shift x - i beta = (x + beta_i) - i beta_r; for the lattice
-    beta is purely imaginary and the continuation enters through t alone.
+    beta is purely imaginary, the continuation enters through t alone, and
+    the shifted site is the site of x plus the site of beta_i.
     """
     rel = packet.rel
     t_c = complex(t) - 1j * packet.alpha
     if rel.kind is Kind.LATTICE:
-        x_shift = np.asarray(x, dtype=float) + packet.beta_i
-        g = greens_closed(rel, x_shift, t_c)
-    else:
-        x_c = np.asarray(x, dtype=complex) + packet.beta_i - 1j * packet.beta_r
-        g = greens_closed(rel, x_c, t_c)
-    return packet.norm_A * g
+        _require_finite(x, t_c)
+        g = _lattice_greens(rel, _site_sum(rel, x, packet.beta_i), t_c)
+        return packet.norm_A * (complex(g) if np.ndim(x) == 0 else g)
+    x_c = np.asarray(x, dtype=complex) + packet.beta_i - 1j * packet.beta_r
+    return packet.norm_A * greens_closed(rel, x_c, t_c)
 
 
 def evolve_quadrature(packet, x, t, spec=DEFAULT_SPEC):
@@ -181,15 +187,21 @@ def evolve_quadrature(packet, x, t, spec=DEFAULT_SPEC):
     value = np.empty(flat.shape, dtype=complex)
     err = np.empty(flat.shape)
     if rel.kind is Kind.LATTICE:
-        _site_indices(rel, flat + packet.beta_i)  # off the sites: no oracle either
+        a = rel.lattice_spacing
+        sites = _site_sum(rel, flat, packet.beta_i)  # off the sites: no oracle either
+        # beta_r = 0 and x + beta_i = a n. A site past float max gives
+        # 1j * inf = nan + inf j, but its count is refused below.
+        with np.errstate(over="ignore", invalid="ignore"):
+            shifts = 1j * a * sites
+    else:
+        shifts = packet.beta + 1j * flat
     lo, hi = density_window(rel, packet.alpha, packet.beta_r, 1, spec)
     v_ends = rel.velocity(np.array([lo, hi]))
     decay = packet.alpha + 1j * t
     scale = packet.norm_A / (2.0 * math.pi)
     for s in range(0, len(flat), _X_BLOCK):
         block = slice(s, s + _X_BLOCK)
-        xb = flat[block]
-        shift = packet.beta + 1j * xb
+        xb, shift = flat[block], shifts[block]
 
         def f(p):
             # A exp(-(alpha + i t) E + p (beta + i x)) / 2pi. A phase p x
@@ -201,12 +213,11 @@ def evolve_quadrature(packet, x, t, spec=DEFAULT_SPEC):
                 raise NonConvergence("oracle phase leaves the float range (%s)" % exc) from None
 
         if rel.kind is Kind.LATTICE:
-            # Over the zone column j has frequency k = (x_j + beta_i)/a; a
-            # start below 2 max|k| nodes could accept two doublings aliased
-            # alike. A far x gets a count the rule refuses before evaluating.
-            a = rel.lattice_spacing
+            # Over the zone column j has frequency n_j; a start below
+            # 2 max|n| nodes could accept two doublings aliased alike. A far
+            # x gets a count the rule refuses before evaluating.
             with np.errstate(over="ignore"):
-                nodes = 2.0 * np.max(np.abs(xb + packet.beta_i)) / a
+                nodes = 2.0 * np.max(np.abs(sites[block]))
             points = 1 << (math.ceil(min(nodes, _PERIODIC_MAX_POINTS)) + 15).bit_length()
             value[block], err[block] = _periodic(f, 2.0 * math.pi / a, spec, points)
         else:

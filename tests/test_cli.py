@@ -396,6 +396,10 @@ def test_tiny_scale_factor():
 def test_float_edge_packet():
     # K_1(720) is subnormal, so A^2 = pi s / (m alpha K_1) overflows.
     _assert_config_error(run_cli("moments", "--dispersion", "rel", "--mass", "1", "--alpha", "360"))
+    # <x>^2 past float max: the raw moments raise OverflowSignal.
+    for packet in (("nonrel", "--beta-im", "1e200"), ("lattice", "--spacing", "0.5", "--beta-im", "1.5e308"),
+                   ("rel", "--beta-im", "1.5e308"), ("massless", "--beta-im", "1.5e308")):
+        _assert_config_error(run_cli("moments", "--alpha", "1", "--dispersion", *packet))
 
 
 def test_tolerance_whose_floor_underflows():
@@ -424,8 +428,10 @@ def test_x_grid_only_on_evolve(command, tmp_path):
         ("cosmo", "--dispersion", "nonrel", "--alpha", "1", "--beta-im", "1000"),
         ("boost", "--dispersion", "rel", "--alpha", "1", "--beta-im", "10000", "--boost-u", "0.6"),
         ("boost", "--dispersion", "rel", "--alpha", "1", "--beta-im", "1000", "--boost-u", "0"),
+        ("spread", "--dispersion", "lattice", "--spacing", "0.7", "--alpha", "1", "--beta-im", "7000000"),
+        ("spread", "--dispersion", "lattice", "--spacing", "0.7", "--alpha", "1", "--beta-im", "21000000"),
     ],
-    ids=["moments", "cosmo", "boost", "boost-u0"],
+    ids=["moments", "cosmo", "boost", "boost-u0", "spread-lattice-1e7-sites", "spread-lattice-3e7-sites"],
 )
 def test_large_beta_i_converges(args):
     # At beta_r = 0 the correlations are 0 with integrands of size |beta_i|,
@@ -435,6 +441,8 @@ def test_large_beta_i_converges(args):
     out = json.loads(cp.stdout)
     if args[0] == "moments":
         assert out["meta"]["max_abs_diff"] <= 1e-8 * 1000.0**2  # 1e-8 of <x^2>
+    if args[0] == "spread":  # sites add as integers: no site falls off
+        assert out["meta"]["max_rel_deviation"] <= 1e-12
 
 
 def test_readme_moments_print_unsigned_zeros(tmp_path):

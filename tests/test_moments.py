@@ -8,6 +8,7 @@ from wavekit import numerics
 from wavekit.analysis import evolved_moments
 from wavekit.boost import boost_minimal_packet, boosted_wave_moments
 from wavekit.dispersion import DispersionRelation, Kind
+from wavekit.errors import OverflowSignal
 from wavekit.moments import (
     MomentSet,
     Provenance,
@@ -182,6 +183,13 @@ def test_raw_moments_derive_from_central():
         mean_E=None, mean_E2=None, cov_vx=None, provenance=Provenance.QUADRATURE,
     )
     assert absent.mean_x2 == 4.5 and absent.mean_v2 is None and absent.corr_vx is None
+    # A raw moment past the float range is the library's OverflowSignal; the
+    # central ones stay those of the packet at the origin.
+    for rel, beta_i in ((NONREL, 1e200), (DispersionRelation.lattice(1.0, 0.5), 1.5e308), (REL, 1.5e308)):
+        far = moments_closed_form(make_minimal(rel, 1.0, 0.0, beta_i))
+        with pytest.raises(OverflowSignal):
+            far.mean_x2
+        assert far.var_x == moments_closed_form(make_minimal(rel, 1.0, 0.0, 0.0)).var_x
 
 
 def test_corr_vx_zero_is_unsigned():

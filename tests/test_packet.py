@@ -115,6 +115,16 @@ def test_lattice_periodicity_errors():
     with pytest.raises(LatticePeriodicityError):
         make_minimal(LATTICE, 1.0, 0.0, 0.4)
     make_minimal(LATTICE, 1.0, 0.0, 2.0)  # integer site shift is fine
+    # One site rule, 1e-9 relative: beta_i/a = 30000000.000000004 is a site,
+    # and 1.5e308/a, past float max, an infinite one.
+    spaced = DispersionRelation.lattice(1.0, 0.7)
+    make_minimal(spaced, 1.0, 0.0, 3e7 * 0.7)
+    solve_parameters(spaced, MomentTargets(0.0, 3e7 * 0.7, 1.0))
+    make_minimal(DispersionRelation.lattice(1.0, 0.5), 1.0, 0.0, 1.5e308)
+    with pytest.raises(LatticePeriodicityError):
+        make_minimal(spaced, 1.0, 0.0, 0.5 * 0.7)
+    with pytest.raises(Unsatisfiable):
+        solve_parameters(spaced, MomentTargets(0.0, 0.5 * 0.7, 1.0))
 
 
 def test_invalid_params():

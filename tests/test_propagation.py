@@ -13,7 +13,7 @@ from wavekit import analysis, numerics
 from wavekit.analysis import evolved_moments, ridge_slope
 from wavekit.boost import galilean_boost
 from wavekit.dispersion import DispersionRelation
-from wavekit.errors import InvalidInput, LightConeSingular, NonConvergence, NonIntegerSite
+from wavekit.errors import InvalidInput, LightConeSingular, NonConvergence, NonIntegerSite, OverflowSignal
 from wavekit.moments import moments_quadrature, spreading_width_sq
 from wavekit.numerics import QuadratureSpec
 from wavekit.packet import make_minimal
@@ -190,6 +190,15 @@ def test_lattice_oracle_row_with_far_sites(t):
     pointwise = np.array([evolve_quadrature(pk, xv, t).value for xv in x])
     assert np.all(np.abs(batched - pointwise) <= 1e-12)
     assert np.all(np.abs(batched - evolve_closed(pk, x, t)) <= 1e-12)
+    # beta_i = 1e7 a: the site of x plus the site of beta_i, summed as
+    # integers, where x + beta_i in floats fell off the sites.
+    far = make_minimal(DispersionRelation.lattice(1.0, 0.7), 1.0, 0.0, 7e6)
+    x = (np.arange(-3.0, 4.0) - 1e7) * 0.7
+    assert np.all(np.abs(evolve_quadrature(far, x, t).value - evolve_closed(far, x, t)) <= 1e-12)
+    # Infinite site numbers of both signs (1.5e308 / 0.5) have no sum.
+    edge = make_minimal(DispersionRelation.lattice(1.0, 0.5), 1.0, 0.0, -1.5e308)
+    with pytest.raises(OverflowSignal):
+        evolve_closed(edge, 1.5e308, t)
 
 
 def test_lattice_oracle_calls_bounded_in_size():
