@@ -9,6 +9,7 @@ massless packet's algebraic C/x^4 tails become bounded integrands there.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -44,7 +45,8 @@ def _evolved_central(packet, t, m0, spec):
     Their sums P and M give <u> = (P - M)/4 and <u^2> = (P + M)/2 - mass,
     so Var x = w^2 (<u^2> - <u>^2) per unit mass never meets c ~ -beta_i.
     The rule starts from 16 equal panels, which costs fewer adaptive rounds
-    than it adds points. The lattice sums offsets from site n_0 in two passes.
+    than it adds points. The lattice sums the offsets k from its centre
+    site in two passes, mean first, and returns <x> = a <k> - beta_i.
     """
     rel = packet.rel
     if m0 is None:
@@ -55,12 +57,12 @@ def _evolved_central(packet, t, m0, spec):
     if rel.kind is Kind.LATTICE:
         a = rel.lattice_spacing
         reach = int(math.ceil((12.0 * width + 10.0 * a) / a))
-        n0 = rel._sites(-packet.beta_i)
         k = np.arange(-reach, reach + 1)
-        probs = a * np.abs(evolve_closed(packet, (k + n0) * a, t)) ** 2
+        # About its centre site -beta_i the density is that of beta_i = 0.
+        probs = a * np.abs(evolve_closed(replace(packet, beta_i=0.0), k * a, t)) ** 2
         mass = float(probs.sum())
         mean_k = float((k * probs).sum()) / mass
-        return mass, (n0 + mean_k) * a, a * a * float(((k - mean_k) ** 2 * probs).sum()) / mass
+        return mass, mean_k * a - packet.beta_i, a * a * float(((k - mean_k) ** 2 * probs).sum()) / mass
 
     def f(theta):
         u = np.tan(theta)

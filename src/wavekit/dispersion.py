@@ -74,14 +74,16 @@ class DispersionRelation:
                 raise DomainError("momentum outside the Brillouin zone ]-pi/a, pi/a]")
 
     def _sites(self, x):
-        """Site numbers n of lattice positions x = n a, within 1e-9 relative,
-        as float64 (exact below 2^53), or None if any x is off the sites.
-        Sites add as these numbers, never as positions. An x past float max
-        times a gives n = inf, which passes (inf - inf is nan)."""
+        """Site numbers n of lattice positions x = n a, as float64 (exact
+        below 2^53), or None if any x is off the sites. x/a may miss n by
+        1e-9 plus the rounding of x and of x/a (8 ulps of n), so the test is
+        as tight far from the origin as near it. Sites add as these numbers,
+        never as positions. An x past float max times a gives n = inf, which
+        passes (inf - inf is nan)."""
         with np.errstate(over="ignore", invalid="ignore"):
             n = np.asarray(x, dtype=float) / self.lattice_spacing
             n_round = np.round(n)
-            off_site = np.abs(n - n_round) > 1e-9 * np.maximum(1.0, np.abs(n))
+            off_site = np.abs(n - n_round) > 1e-9 + 8.0 * np.finfo(float).eps * np.abs(n)
         return None if np.any(off_site) else n_round
 
     # -- evaluation ---------------------------------------------------------

@@ -121,8 +121,11 @@ def test_lattice_periodicity_errors():
     make_minimal(spaced, 1.0, 0.0, 3e7 * 0.7)
     solve_parameters(spaced, MomentTargets(0.0, 3e7 * 0.7, 1.0))
     make_minimal(DispersionRelation.lattice(1.0, 0.5), 1.0, 0.0, 1.5e308)
-    with pytest.raises(LatticePeriodicityError):
-        make_minimal(spaced, 1.0, 0.0, 0.5 * 0.7)
+    # Far from the origin the rule stays as tight as float rounding allows:
+    # beta_i/a = 1428571428.57 and 1e9 + 0.5 are off the sites.
+    for beta_i in (0.5 * 0.7, 1e9, (1e9 + 0.5) * 0.7):
+        with pytest.raises(LatticePeriodicityError):
+            make_minimal(spaced, 1.0, 0.0, beta_i)
     with pytest.raises(Unsatisfiable):
         solve_parameters(spaced, MomentTargets(0.0, 0.5 * 0.7, 1.0))
 

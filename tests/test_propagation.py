@@ -10,7 +10,7 @@ import pytest
 from scipy import special
 
 from wavekit import analysis, numerics
-from wavekit.analysis import evolved_moments, ridge_slope
+from wavekit.analysis import _evolved_central, evolved_moments, ridge_slope
 from wavekit.boost import galilean_boost
 from wavekit.dispersion import DispersionRelation
 from wavekit.errors import InvalidInput, LightConeSingular, NonConvergence, NonIntegerSite, OverflowSignal
@@ -195,6 +195,10 @@ def test_lattice_oracle_row_with_far_sites(t):
     far = make_minimal(DispersionRelation.lattice(1.0, 0.7), 1.0, 0.0, 7e6)
     x = (np.arange(-3.0, 4.0) - 1e7) * 0.7
     assert np.all(np.abs(evolve_quadrature(far, x, t).value - evolve_closed(far, x, t)) <= 1e-12)
+    # 0.004 of a site off site -1e7 is off the sites, there as at the origin.
+    for evolve in (evolve_closed, evolve_quadrature):
+        with pytest.raises(NonIntegerSite):
+            evolve(far, -7e6 + 0.003, t)
     # Infinite site numbers of both signs (1.5e308 / 0.5) have no sum.
     edge = make_minimal(DispersionRelation.lattice(1.0, 0.5), 1.0, 0.0, -1.5e308)
     with pytest.raises(OverflowSignal):
@@ -308,6 +312,15 @@ def test_evolved_gaussian_width():
     for t in (0.0, 1.0, 3.0):
         _, mean, second = evolved_moments(pk, t, m0)
         assert second - mean**2 == pytest.approx(spreading_width_sq(m0, t), rel=1e-12)
+    # A lattice packet sums offsets from its centre site, so its variance
+    # never meets <x>^2 ~ 2.5e13, and one at an infinite site still spreads.
+    for beta_i, a in ((7e6, 0.7), (1.5e308, 0.5)):
+        far = make_minimal(DispersionRelation.lattice(1.0, a), 1.0, 0.0, beta_i)
+        m0 = moments_quadrature(far)
+        for t in (0.0, 1.0, 5.0):
+            mass, mean, var = _evolved_central(far, t, m0, numerics.DEFAULT_SPEC)
+            assert var == pytest.approx(spreading_width_sq(m0, t), rel=1e-12)
+            assert mass == pytest.approx(1.0, rel=1e-12) and mean == -beta_i
 
 
 @pytest.mark.parametrize(
