@@ -45,7 +45,9 @@ def _evolved_central(packet, t, m0, spec):
     Their sums P and M give <u> = (P - M)/4 and <u^2> = (P + M)/2 - mass,
     so Var x = w^2 (<u^2> - <u>^2) per unit mass never meets c ~ -beta_i.
     The rule starts from 16 equal panels, which costs fewer adaptive rounds
-    than it adds points. The lattice sums the offsets k from its centre
+    than it adds points. Both branches evaluate the beta_i = 0 packet: the
+    continuum at offset + w u with offset = c + beta_i, returning <x> =
+    offset + w <u> - beta_i; the lattice sums the offsets k from its centre
     site in two passes, mean first, and returns <x> = a <k> - beta_i.
     """
     rel = packet.rel
@@ -53,27 +55,32 @@ def _evolved_central(packet, t, m0, spec):
         m0 = moments_quadrature(packet, spec)
     center = ehrenfest_position(m0, t)
     width = math.sqrt(max(spreading_width_sq(m0, t), 1e-12))
+    # About -beta_i the density is that of beta_i = 0, so positions are
+    # taken from there and the rounding of |beta_i| never enters its shape.
+    origin = replace(packet, beta_i=0.0)
 
     if rel.kind is Kind.LATTICE:
         a = rel.lattice_spacing
         reach = int(math.ceil((12.0 * width + 10.0 * a) / a))
         k = np.arange(-reach, reach + 1)
-        # About its centre site -beta_i the density is that of beta_i = 0.
-        probs = a * np.abs(evolve_closed(replace(packet, beta_i=0.0), k * a, t)) ** 2
+        probs = a * np.abs(evolve_closed(origin, k * a, t)) ** 2
         mass = float(probs.sum())
         mean_k = float((k * probs).sum()) / mass
         return mass, mean_k * a - packet.beta_i, a * a * float(((k - mean_k) ** 2 * probs).sum()) / mass
 
+    offset = center + packet.beta_i
+
     def f(theta):
         u = np.tan(theta)
-        dens = np.abs(evolve_closed(packet, center + width * u, t)) ** 2 * width * (1.0 + u * u)
+        dens = np.abs(evolve_closed(origin, offset + width * u, t)) ** 2 * width * (1.0 + u * u)
         return dens[:, np.newaxis] * np.stack([np.ones_like(u), (1.0 + u) ** 2, (1.0 - u) ** 2], axis=1)
 
-    sums, _ = _adaptive(f, -0.5 * math.pi, 0.5 * math.pi, spec, initial_panels=16)
+    sums, _ = _adaptive(f, -0.5 * math.pi, 0.5 * math.pi, spec, initial_panels=16, columns=3)
     mass, plus, minus = sums.real
     mean_u = 0.25 * (plus - minus) / mass
     second_u = (0.5 * (plus + minus) - mass) / mass
-    return float(mass), float(center + width * mean_u), float(width * width * (second_u - mean_u * mean_u))
+    return (float(mass), float(offset + width * mean_u - packet.beta_i),
+            float(width * width * (second_u - mean_u * mean_u)))
 
 
 def _refine_peak(x, y, j):

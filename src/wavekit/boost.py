@@ -147,7 +147,7 @@ def boosted_wave_moments(wave, spec=DEFAULT_SPEC):
         )
         return w * dens[:, np.newaxis]
 
-    vals, _ = _line_integral(f, *wave.window, spec)
+    vals, _ = _line_integral(f, *wave.window, spec, columns=6)
     vals = vals.real
     return {
         "norm": float(vals[0]),
@@ -186,7 +186,7 @@ def boosted_expectations(packet, u, m0=None, spec=DEFAULT_SPEC):
         coef_im = (1.0 + u * v_prime) * (beta_r - alpha * v) + 0.5 * u * dv_prime
         return np.stack([v_prime, v_prime * v_prime, coef_im * coef_im], axis=1)
 
-    vals, _ = expectation_many(packet, weights, spec)
+    vals, _ = expectation_many(packet, weights, spec, columns=3)
     mean_v_b, mean_v2_b, im_sq = (float(x) for x in vals.real)
     ub = u * beta_i
     return MomentSet(

@@ -181,7 +181,7 @@ def _time_integral_grid(func, t_values, k, spec=DEFAULT_SPEC):
     edges = np.concatenate([[0.0], t_values])
     for i in np.flatnonzero(edges[1:] > edges[:-1]):
         try:
-            steps[i] = _adaptive(func, edges[i], edges[i + 1], spec)[0].real
+            steps[i] = _adaptive(func, edges[i], edges[i + 1], spec, columns=k)[0].real
         except NonConvergence as exc:
             raise NonConvergence("time integral: %s" % exc, exc.value, exc.abs_error) from None
     return np.cumsum(steps, axis=0)
@@ -234,7 +234,7 @@ def comoving_trace(packet, model, t_values, spec=DEFAULT_SPEC):
         v_now = rel.velocity(p[:, np.newaxis] * (r0 / rt))
         return np.column_stack([w, w * w, v_now])
 
-    vals, _ = expectation_many(packet, weights, spec)
+    vals, _ = expectation_many(packet, weights, spec, columns=3 * k)
     w_mean, w_sq, mean_v = vals.real.reshape(3, k)
     mean_rho = m0.mean_x / r0 + w_mean
     return ComovingTrace(

@@ -128,7 +128,7 @@ def moments_quadrature(packet, spec=DEFAULT_SPEC):
         curv = np.zeros_like(p) if rel.kind is Kind.MASSLESS else rel.curvature(p)
         return np.stack([v, dv * dv, p, p * p, e, e * e, x_w, d * d, curv], axis=1)
 
-    vals, _ = expectation_many(packet, weights, spec)
+    vals, _ = expectation_many(packet, weights, spec, columns=9)
     return MomentSet(
         mean_x=float(vals[6].real),
         var_x=float(vals[7].real),

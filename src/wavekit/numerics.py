@@ -7,11 +7,14 @@ dependencies beyond numpy.
 
 Finite-interval integrals use a batched, globally adaptive Gauss-Kronrod
 10/21 rule (``_adaptive``): one 21-point evaluation per panel gives the
-Kronrod value and the |K21 - G10| error estimate, and each round splits the
-worst panels together, evaluating all their children in one vectorised
-integrand call (split only where a call would exceed ``_CALL_ELEMENTS``
-output values). Line integrals run it over a window [lo, hi]; a packet's is
-the level set of its log-density at the tail budget (``density_window``).
+Kronrod value and the |K21 - G10| error estimate. The initial panels come in
+one vectorised integrand call, and each round splits the worst panels
+together and evaluates all their children in one more; a call is split only
+where it would exceed ``_CALL_ELEMENTS`` output values. Every caller declares
+its integrand's column count, which sizes the calls and is checked against
+what the integrand returns, so no integrator probes. Line integrals run it
+over a window [lo, hi]; a packet's is the level set of its log-density at the
+tail budget (``density_window``).
 
 Bessel strategy: K_0/K_1 by power series for |z| <= 4 and, beyond that,
 one fixed 19-node trapezoid sum on the steepest-descent path of their
@@ -93,9 +96,10 @@ _G10_WEIGHTS[1:10:2] = _G10_OUTER_WEIGHTS
 _G10_WEIGHTS[11:20:2] = _G10_OUTER_WEIGHTS[::-1]
 _GK_WEIGHTS = np.stack([_K21_WEIGHTS, _K21_WEIGHTS - _G10_WEIGHTS])
 
-# Output values one integrand call may produce: a round's panels are split
-# into calls of at most this many values (never below one panel per call),
-# which bounds the memory a wide integrand allocates per call.
+# Output values one integrand call may produce: the initial panels, each
+# round's children and each periodic level are split into calls of at most
+# this many values (never below one panel or node per call), which bounds the
+# memory a wide integrand allocates per call.
 _CALL_ELEMENTS = 1 << 16
 
 # Panel splits one ``_adaptive`` call may make, and the cap on the initial
@@ -150,43 +154,49 @@ def _amplitude(value, err):
     return ComplexAmplitude(value, err)
 
 
-def _eval_points(f, pts):
-    """Evaluate an integrand that is vectorized over the sample axis."""
+def _eval_points(f, pts, columns):
+    """Evaluate an integrand that is vectorized over the sample axis and
+    declared to return ``columns`` values per point (its value shape
+    flattened; 1 for a scalar integrand)."""
     vals = np.asarray(f(pts), dtype=complex)
     if vals.shape[:1] != pts.shape:
         raise InvalidInput(
             "integrand returned shape %s for %d points; the leading axis "
             "must be the sample axis" % (vals.shape, len(pts))
         )
+    width = math.prod(vals.shape[1:])
+    if width != columns:
+        raise InvalidInput("integrand returned %d columns per point; its caller declared %d" % (width, columns))
     return vals
 
 
-def _gk_panels(f, a, b):
+def _gk_panels(f, a, b, columns):
     """K21 values and |K21 - G10| errors of the panels [a_i, b_i] from one
-    integrand call on all their nodes; returns arrays (P, W) with the
-    integrand's value shape flattened to W, and that shape."""
+    integrand call on all their nodes; returns arrays (P, columns) and the
+    integrand's value shape."""
     half = 0.5 * (b - a)
     mid = 0.5 * (b + a)
-    vals = _eval_points(f, (mid[:, np.newaxis] + half[:, np.newaxis] * _GK_NODES).ravel())
-    shape = vals.shape[1:]
+    vals = _eval_points(f, (mid[:, np.newaxis] + half[:, np.newaxis] * _GK_NODES).ravel(), columns)
     # Real and imaginary parts are contracted as separate columns, each with
     # the same summation order, so identical integrand columns give
     # bit-identical results (a stacked BLAS product would not).
-    v = np.ascontiguousarray(vals).reshape(len(a), len(_GK_NODES), -1).view(float)
+    v = np.ascontiguousarray(vals).reshape(len(a), len(_GK_NODES), columns).view(float)
     sums = np.einsum("rj,pjw->prw", _GK_WEIGHTS, v).view(complex)
     q = half[:, np.newaxis] * sums[:, 0]
     e = np.abs(half[:, np.newaxis] * sums[:, 1])
-    return q, e, shape
+    return q, e, vals.shape[1:]
 
 
 def _fill(f, rows, a, b, store, per_call):
     """Put the panels [a_i, b_i] into the store's ``rows`` with their value
-    and error, ``per_call`` panels per integrand call."""
+    and error, ``per_call`` panels per integrand call; returns the
+    integrand's value shape."""
     pa, pb, pq, pe = store
     pa[rows], pb[rows] = a, b
     for j in range(0, len(rows), per_call):
         r = rows[j:j + per_call]
-        pq[r], pe[r], _ = _gk_panels(f, a[j:j + per_call], b[j:j + per_call])
+        pq[r], pe[r], shape = _gk_panels(f, a[j:j + per_call], b[j:j + per_call], pq.shape[1])
+    return shape
 
 
 def _ratio(err, tol):
@@ -221,27 +231,27 @@ def _nonconvergence(message, a, b, err, tol, total, toterr, shape):
     )
 
 
-def _adaptive(f, lo, hi, spec, breakpoints=(), initial_panels=1):
+def _adaptive(f, lo, hi, spec, breakpoints=(), initial_panels=1, columns=1):
     """Globally adaptive Gauss-Kronrod 10/21 quadrature on [lo, hi].
 
     ``f`` maps an ndarray of points to complex values of shape
-    ``(npoints,) + S``; the result and error estimate have shape ``S``
-    (scalar integrands give 0-d arrays). Each panel costs 21 evaluations:
-    its value is the Kronrod sum and its error |K21 - G10|, the Gauss rule
-    sharing every other node. Each round splits, in one batch, the panels of
-    highest priority (largest err/tol at the round's tolerance) until their
-    errors cover the excess of the total error over the tolerance, never
-    past ``_MAX_SUBDIVISIONS``. The very first call is one panel and
-    tells the rule the integrand's width; after it, the remaining initial
-    panels and then each round's children are evaluated in one integrand
-    call, split into calls of at most ``_CALL_ELEMENTS`` output values
-    (never below one panel per call). Children reach the integrand in
-    order, each parent's two side by side. Panels live in arrays
-    updated in place (children are written straight into them), with
-    running totals. Convergence requires every
-    component to meet ``rtol*|value| + floor``. ``NonConvergence`` (on an
-    exhausted budget, an unsplittable panel or a non-finite value) names
-    the worst panel and its err/tol.
+    ``(npoints,) + S``, where ``S`` holds the declared ``columns`` values
+    (``InvalidInput`` otherwise); the result and error estimate have shape
+    ``S`` (scalar integrands give 0-d arrays). Each panel costs 21
+    evaluations: its value is the Kronrod sum and its error |K21 - G10|,
+    the Gauss rule sharing every other node. Each round splits, in one
+    batch, the panels of highest priority (largest err/tol at the round's
+    tolerance) until their errors cover the excess of the total error over
+    the tolerance, never past ``_MAX_SUBDIVISIONS``. The initial panels and
+    then each round's children are evaluated in one integrand call, split
+    into calls of at most ``_CALL_ELEMENTS`` output values (never below one
+    panel per call), so the first call is sized like every other. Children
+    reach the integrand in order, each parent's two side by side. Panels
+    live in arrays updated in place (children are written straight into
+    them), with running totals. Convergence requires every component to
+    meet ``rtol*|value| + floor``. ``NonConvergence`` (on an exhausted
+    budget, an unsplittable panel or a non-finite value) names the worst
+    panel and its err/tol.
     """
     edges = {float(lo), float(hi)}
     edges.update(float(p) for p in breakpoints if lo < p < hi)
@@ -250,15 +260,12 @@ def _adaptive(f, lo, hi, spec, breakpoints=(), initial_panels=1):
     edges = np.array(sorted(edges))
     rtol, floor = spec.relative_tolerance, spec.absolute_floor
 
-    q, e, shape = _gk_panels(f, edges[:1], edges[1:2])
-    width = q.shape[1]
-    per_call = max(1, _CALL_ELEMENTS // (len(_GK_NODES) * max(width, 1)))
+    per_call = max(1, _CALL_ELEMENTS // (len(_GK_NODES) * columns))
     n = len(edges) - 1
     cap = 2 * n
-    store = (np.empty(cap), np.empty(cap), np.empty((cap, width), dtype=complex), np.empty((cap, width)))
+    store = (np.empty(cap), np.empty(cap), np.empty((cap, columns), dtype=complex), np.empty((cap, columns)))
     pa, pb, pq, pe = store
-    pa[0], pb[0], pq[0], pe[0] = edges[0], edges[1], q[0], e[0]
-    _fill(f, np.arange(1, n), edges[1:-1], edges[2:], store, per_call)
+    shape = _fill(f, np.arange(n), edges[:-1], edges[1:], store, per_call)
     total = pq[:n].sum(axis=0)
     toterr = pe[:n].sum(axis=0)
     splits = 0
@@ -322,38 +329,35 @@ def _tail_budget(spec):
     return math.log(1.0 / max(spec.absolute_floor, 1e-18)) + _WINDOW_SAFETY
 
 
-def _line_integral(f, lo, hi, spec, panels=8):
-    """Adaptive integral of ``f`` over the momentum window [lo, hi], with a
-    breakpoint at 0 (where |p| kinks) and ``panels`` equal initial panels;
-    returns (value, err) arrays."""
-    return _adaptive(f, lo, hi, spec, breakpoints=(0.0,), initial_panels=panels)
+def _line_integral(f, lo, hi, spec, panels=8, columns=1):
+    """Adaptive integral of ``f``, ``columns`` values per point, over the
+    momentum window [lo, hi], with a breakpoint at 0 (where |p| kinks) and
+    ``panels`` equal initial panels; returns (value, err) arrays."""
+    return _adaptive(f, lo, hi, spec, breakpoints=(0.0,), initial_panels=panels, columns=columns)
 
 
 # Nodes past which the periodic rule stops doubling (and will not start).
 _PERIODIC_MAX_POINTS = 1 << 20
 
 
-def _periodic(f, period, spec, points=16):
-    """Trapezoid sum of a smooth periodic ``f`` over one period from
-    ``points`` nodes, doubled until the increment meets the tolerance;
-    returns (value, err) arrays. ``points`` must exceed twice the
-    integrand's highest frequency, or two doublings can alias alike. Each
-    level's nodes are evaluated in calls of at most ``_CALL_ELEMENTS``
-    output values. A first level can itself be too large for one call (the
-    lattice oracle starts far sites at 32768 nodes), so a deliberate
-    one-node probe first tells the rule the integrand's width. Its value is
-    dropped: reusing it would split a level that fits one call into two
-    sums and move the float that level's ``ndarray.mean`` gives."""
+def _periodic(f, period, spec, points=16, columns=1):
+    """Trapezoid sum of a smooth periodic ``f``, ``columns`` values per
+    point, over one period from ``points`` nodes, doubled until the
+    increment meets the tolerance; returns (value, err) arrays. ``points``
+    must exceed twice the integrand's highest frequency, or two doublings
+    can alias alike. Each level's nodes, the first included (the lattice
+    oracle starts far sites at 32768 nodes), are evaluated in calls of at
+    most ``_CALL_ELEMENTS`` output values."""
     if points > _PERIODIC_MAX_POINTS:
         raise NonConvergence("periodic rule would start above %d points" % _PERIODIC_MAX_POINTS)
     a = -0.5 * period
-    per_call = max(1, _CALL_ELEMENTS // max(_eval_points(f, np.array([a])).size, 1))
+    per_call = max(1, _CALL_ELEMENTS // columns)
 
     def mean(n, offset):
         # Mean of f over the nodes a + period (j + offset) / n, j < n; in
         # one call it is the float ndarray.mean gives.
         return sum(
-            _eval_points(f, a + period * (np.arange(j, min(j + per_call, n)) + offset) / n).sum(axis=0)
+            _eval_points(f, a + period * (np.arange(j, min(j + per_call, n)) + offset) / n, columns).sum(axis=0)
             for j in range(0, n, per_call)
         ) / n
 

@@ -125,13 +125,14 @@ def density_window(rel, alpha, beta_r, power=2, spec=DEFAULT_SPEC):
     return ((ms + b) * beta_r - root) / s2, ((ms + b) * beta_r + root) / s2
 
 
-def expectation_many(packet, weight, spec=DEFAULT_SPEC):
+def expectation_many(packet, weight, spec=DEFAULT_SPEC, columns=1):
     """(1/2pi) int weight(p) |Phi(p)|^2 dp for a stack of weights.
 
-    ``weight`` maps an ndarray of momenta (n,) to an array (n, k); returns
-    (values, errors) of shape (k,). The adaptive rule runs over the packet's
-    ``density_window``, on the lattice too: weights such as p are not
-    periodic. ``OverflowSignal`` if the integrand overflows.
+    ``weight`` maps an ndarray of momenta (n,) to an array (n, k), k the
+    declared ``columns``; returns (values, errors) of shape (k,). The
+    adaptive rule runs over the packet's ``density_window``, on the lattice
+    too: weights such as p are not periodic. ``OverflowSignal`` if the
+    integrand overflows.
     """
 
     def f(p):
@@ -143,7 +144,7 @@ def expectation_many(packet, weight, spec=DEFAULT_SPEC):
             raise OverflowSignal("packet integrand leaves the float range (%s)" % exc) from None
 
     lo, hi = density_window(packet.rel, packet.alpha, packet.beta_r, 2, spec)
-    return _line_integral(f, lo, hi, spec)
+    return _line_integral(f, lo, hi, spec, columns=columns)
 
 
 def closed_form_norm_constant(rel, alpha, beta_r):

@@ -219,7 +219,7 @@ def evolve_quadrature(packet, x, t, spec=DEFAULT_SPEC):
             with np.errstate(over="ignore"):
                 nodes = 2.0 * np.max(np.abs(sites[block]))
             points = 1 << (math.ceil(min(nodes, _PERIODIC_MAX_POINTS)) + 15).bit_length()
-            value[block], err[block] = _periodic(f, 2.0 * math.pi / a, spec, points)
+            value[block], err[block] = _periodic(f, 2.0 * math.pi / a, spec, points, columns=len(xb))
         else:
             # The phase p (x + beta_i) - E(p) t turns at the rate
             # x + beta_i - v(p) t, largest at a window end since v is
@@ -229,7 +229,7 @@ def evolve_quadrature(packet, x, t, spec=DEFAULT_SPEC):
             with np.errstate(over="ignore"):
                 omega = np.max(np.abs((xb + packet.beta_i)[:, np.newaxis] - v_ends * t))
                 panels = max(8, math.ceil(min(_MAX_SUBDIVISIONS, (hi - lo) * omega / (4.0 * math.pi))))
-            value[block], err[block] = _line_integral(f, lo, hi, spec, panels=panels)
+            value[block], err[block] = _line_integral(f, lo, hi, spec, panels=panels, columns=len(xb))
     return _amplitude(value.reshape(x.shape), err.reshape(x.shape))
 
 

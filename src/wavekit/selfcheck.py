@@ -387,7 +387,7 @@ def check_cosmology(spec=DEFAULT_SPEC):
         w = np.arcsinh(p / mass)[:, np.newaxis] - np.arcsinh(np.outer(p, 1.0 / (mass * (1.0 + ts))))
         return np.column_stack([w, w * w])
 
-    vals, _ = expectation_many(pk_rel, exact, spec)
+    vals, _ = expectation_many(pk_rel, exact, spec, columns=2 * len(ts))
     w_mean, w_sq = vals.real.reshape(2, len(ts))
     worst_rr = float(max(
         np.max(np.abs(trace.mean_rho - (m0.mean_x + w_mean))),
@@ -470,7 +470,7 @@ def check_special_functions(spec=DEFAULT_SPEC):
             z = r * complex(math.cos(phase), math.sin(phase))
             ref, _ = numerics._adaptive(
                 lambda t: np.exp(z * np.cos(t))[:, None] * np.cos(np.outer(t, orders)) / math.pi,
-                0.0, math.pi, spec, initial_panels=8,
+                0.0, math.pi, spec, initial_panels=8, columns=len(orders),
             )
             got = numerics._i_recurrence(orders, z)[0]
             err = np.max(np.abs(got - ref) / np.abs(ref))

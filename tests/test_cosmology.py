@@ -156,7 +156,7 @@ def _exact_rel_moments(pk, ts):
         w = np.arcsinh(p / m)[:, np.newaxis] - np.arcsinh(np.outer(p, 1.0 / (m * (1.0 + ts))))
         return np.column_stack([x_w, d * d + beta_i**2, w, w * w, w * x_w[:, np.newaxis]])
 
-    vals, _ = expectation_many(pk, weights)
+    vals, _ = expectation_many(pk, weights, columns=2 + 3 * len(ts))
     x0, x2_0 = vals.real[:2]
     w_mean, w_sq, w_x = vals.real[2:].reshape(3, len(ts))
     return x0 + w_mean, x2_0 + 2.0 * w_x + w_sq

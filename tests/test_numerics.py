@@ -32,11 +32,12 @@ K0_SQRT3 = 0.15893189833983052
 K1_SQRT3 = 0.20033843116359428
 
 
-def _line(f, decay_rate, spec=numerics.DEFAULT_SPEC):
-    """(value, err) of ``f`` over the real line: the line rule over the
-    window where exp(-decay_rate |p|) falls by the tail budget."""
+def _line(f, decay_rate, spec=numerics.DEFAULT_SPEC, columns=1):
+    """(value, err) of ``f``, ``columns`` values per point, over the real
+    line: the line rule over the window where exp(-decay_rate |p|) falls by
+    the tail budget."""
     w = numerics._tail_budget(spec) / decay_rate
-    return numerics._line_integral(f, -w, w, spec)
+    return numerics._line_integral(f, -w, w, spec, columns=columns)
 
 
 class TestIntegrateLine:
@@ -56,7 +57,7 @@ class TestIntegrateLine:
     def test_array_valued_integrand(self):
         # Values of shape (2,) give value and error of shape (2,); a scalar
         # integrand gives 0-d arrays.
-        value, err = _line(lambda p: np.stack([np.exp(-p * p), p * p * np.exp(-p * p)], axis=1), 1.0)
+        value, err = _line(lambda p: np.stack([np.exp(-p * p), p * p * np.exp(-p * p)], axis=1), 1.0, columns=2)
         assert value.shape == err.shape == (2,)
         assert np.allclose(value, [math.sqrt(math.pi), math.sqrt(math.pi) / 2.0], rtol=0.0, atol=1e-12)
         scalar, scalar_err = _line(lambda p: np.exp(-p * p), 1.0)
@@ -114,15 +115,14 @@ class TestGaussKronrodRule:
             return np.repeat(col[:, np.newaxis], width, axis=1)
 
         w = numerics._tail_budget(numerics.DEFAULT_SPEC)
-        value, _ = numerics._line_integral(f, -w, w, numerics.DEFAULT_SPEC)
-        assert sizes[0] == 21
+        value, _ = numerics._line_integral(f, -w, w, numerics.DEFAULT_SPEC, columns=width)
         if width == 4000:
             # One panel is 84000 values, past the 2^16 cap: one per call.
             assert set(sizes) == {21}
         else:
+            # The declared width sizes the first call: all 8 initial panels.
+            assert sizes[0] == 8 * 21
             assert max(sizes) * width <= 1 << 16
-            # The other seven initial panels come in one call.
-            assert sizes[1] == 7 * 21
         assert np.all(value == value[0])
 
     def test_subdivision_budget(self, monkeypatch):
@@ -168,7 +168,7 @@ class TestGaussKronrodRule:
             cols = [p, p * p] + [np.cos(p)] * (width - 2)
             return np.column_stack(cols).astype(complex) * (1.0 + 0.5j)
 
-        vals, errs = expectation_many(pk, weights)
+        vals, errs = expectation_many(pk, weights, columns=width)
         assert np.all(vals[2:] == vals[2]) and np.all(errs[2:] == errs[2])
 
 
@@ -187,6 +187,17 @@ class TestIntegrandEvaluation:
     def test_scalar_integrand_rejected(self):
         with pytest.raises(InvalidInput):
             numerics._adaptive(lambda p: 1.0, -1.0, 1.0, numerics.DEFAULT_SPEC)
+
+    @pytest.mark.parametrize("returned, declared", [(1, 3), (3, 1), (4, 3)])
+    def test_undeclared_width_rejected(self, returned, declared):
+        def f(p):
+            return np.ones((len(p), returned)) if returned > 1 else np.ones_like(p)
+
+        with pytest.raises(InvalidInput, match="returned %d columns per point; its caller declared %d"
+                           % (returned, declared)):
+            numerics._adaptive(f, -1.0, 1.0, numerics.DEFAULT_SPEC, columns=declared)
+        with pytest.raises(InvalidInput, match="returned %d columns" % returned):
+            numerics._periodic(f, 2.0 * math.pi, numerics.DEFAULT_SPEC, columns=declared)
 
 
 class TestIntegratePeriodic:

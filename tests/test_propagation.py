@@ -226,7 +226,8 @@ def test_empty_oracle_row(monkeypatch):
     pk = make_minimal(REL, 1.0, 0.5)
     calls = []
     evaluate = numerics._eval_points
-    monkeypatch.setattr(numerics, "_eval_points", lambda f, pts: calls.append(pts) or evaluate(f, pts))
+    monkeypatch.setattr(numerics, "_eval_points",
+                        lambda f, pts, columns: calls.append(pts) or evaluate(f, pts, columns))
     for x in (np.array([]), np.empty((2, 0))):
         out = evolve_quadrature(pk, x, 5.0)
         assert out.value.shape == out.abs_error.shape == x.shape
@@ -235,23 +236,37 @@ def test_empty_oracle_row(monkeypatch):
     assert calls == []
 
 
-def test_oracle_integrand_calls(monkeypatch):
-    # The phase x + beta_i - v(p) t sizes the start: the first panel alone,
-    # the other initial panels together, then one call per round (73 + 6
-    # panels, 1659 points, in three calls).
-    pk = make_minimal(REL, 1.0, 0.5)
+def _count_integrand_calls(monkeypatch):
     sizes = []
     evaluate = numerics._eval_points
 
-    def counting(f, pts):
+    def counting(f, pts, columns):
         sizes.append(len(pts))
-        return evaluate(f, pts)
+        return evaluate(f, pts, columns)
 
     monkeypatch.setattr(numerics, "_eval_points", counting)
+    return sizes
+
+
+def test_oracle_integrand_calls(monkeypatch):
+    # The phase x + beta_i - v(p) t sizes the start: all initial panels in
+    # one call, then one call per round (73 + 6 panels, 1659 points, in two
+    # calls).
+    pk = make_minimal(REL, 1.0, 0.5)
+    sizes = _count_integrand_calls(monkeypatch)
     evolve_quadrature(pk, 3.0, 5.0)
-    assert sizes[0] == 21
+    assert sizes[0] == 73 * 21
     assert sum(sizes) == 1659
-    assert len(sizes) == 3
+    assert len(sizes) == 2
+
+
+def test_lattice_oracle_makes_no_probe_call(monkeypatch):
+    # The periodic rule sizes its levels from the declared block width:
+    # every call is a level's nodes, none a one-node probe.
+    pk = make_minimal(LATTICE, 1.0)
+    sizes = _count_integrand_calls(monkeypatch)
+    evolve_quadrature(pk, np.arange(-8.0, 9.0), 5.0)
+    assert sizes and min(sizes) > 1
 
 
 @pytest.mark.parametrize("rel", [NONREL, DispersionRelation.non_relativistic(1.0), REL,
