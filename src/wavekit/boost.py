@@ -133,41 +133,44 @@ def boost_minimal_packet(packet, u, spec=DEFAULT_SPEC):
 
 
 def boosted_wave_moments(wave, spec=DEFAULT_SPEC):
-    """Direct quadrature moments of |Psi_b(p')|^2: norm, <E>, <p>, <v>, <v^2>,
-    and <E^-3> (the boosted-frame uncertainty-bound weight)."""
+    """Direct quadrature moments of |Psi_b(p')|^2: ``norm``, ``mean_E``,
+    ``mean_p`` and ``mean_v``, the recomputed side of the boost report. The
+    boosted spread and <E''> come from ``boosted_expectations``."""
     rel = DispersionRelation.relativistic(wave.mass)
 
     def f(p_prime):
         vals = wave.evaluator(p_prime)
         dens = np.abs(vals) ** 2 / (2.0 * math.pi)
         e = rel.energy(p_prime)
-        v = rel.velocity(p_prime)
-        w = np.stack(
-            [np.ones_like(e), e, p_prime, v, v * v, e**-3], axis=1
-        )
+        w = np.stack([np.ones_like(e), e, p_prime, rel.velocity(p_prime)], axis=1)
         return w * dens[:, np.newaxis]
 
-    vals, _ = _line_integral(f, *wave.window, spec, columns=6)
+    vals, _ = _line_integral(f, *wave.window, spec, columns=4)
     vals = vals.real
     return {
         "norm": float(vals[0]),
         "mean_E": float(vals[1]),
         "mean_p": float(vals[2]),
         "mean_v": float(vals[3]),
-        "mean_v2": float(vals[4]),
-        "mean_E_m3": float(vals[5]),
     }
 
 
 def boosted_expectations(packet, u, m0=None, spec=DEFAULT_SPEC):
-    """Predicted boosted-frame expectations from the unboosted packet.
+    """Predicted boosted-frame moments from the unboosted packet, the spread
+    central: mean_x, var_x, mean_v, var_v, mean_p, mean_E and mean_curv.
 
     <E>_b and <p>_b follow algebraically from the original moments; the rest
-    are quadratures over v' = (v - u)/(1 - u v). x = i d/dp on Phi maps to
-    gamma B, B Phi = [(1 + u v') i(beta - alpha v) + i (u/2) dv'/dp] Phi. Re B
-    = -(1 + u v') beta_i varies only through u beta_i v', so <x>_b = -gamma
-    beta_i (1 + u <v'>) and var_x_b = gamma^2 (<(Im B)^2> + (u beta_i)^2
-    (<v'^2> - <v'>^2)): a difference of the bounded v', no beta_i^2 cancelled.
+    are quadratures over the packet's own density (the map's Jacobian is
+    |A(-p')|^2) of v' = (v - u)/(1 - u v) and E' = gamma (E - u p) = m
+    cosh(theta - eta), p = m sinh theta, u = tanh eta, so E' is never a
+    difference. Var v' = <(v' - c)^2> - (<v'> - c)^2 about the classical
+    boosted velocity c = (v0 - u)/(1 - u v0) = beta_r'/alpha', v0 =
+    beta_r/alpha, where v' - c = (alpha p - beta_r E)/(alpha' E') cancels
+    nothing, and <E''>_b = m^2 <E'^-3>. x = i d/dp on Phi maps to gamma B, B Phi = [(1 +
+    u v') i(beta - alpha v) + i (u/2) dv'/dp] Phi. Re B = -(1 + u v') beta_i
+    varies only through u beta_i v', so <x>_b = -gamma beta_i (1 + u <v'>)
+    and var_x_b = gamma^2 (<(Im B)^2> + (u beta_i)^2 Var v'): no beta_i^2
+    cancelled.
     """
     if packet.rel.kind is not Kind.RELATIVISTIC:
         raise KindMismatch("boosted expectations are defined for the relativistic kind")
@@ -176,28 +179,37 @@ def boosted_expectations(packet, u, m0=None, spec=DEFAULT_SPEC):
     if m0 is None:
         m0 = moments_quadrature(packet, spec)
     rel = packet.rel
+    m = rel.mass
     alpha, beta_r, beta_i = packet.alpha, packet.beta_r, packet.beta_i
+    alpha_b, beta_b = lorentz_boost_params(alpha, beta_r, u)
+    c = beta_b / alpha_b
+    eta = math.atanh(u)
 
     def weights(p):
+        e = rel.energy(p)
         v = rel.velocity(p)
         curv = rel.curvature(p)
         v_prime = (v - u) / (1.0 - u * v)
         dv_prime = curv * (1.0 - u * u) / (1.0 - u * v) ** 2
         coef_im = (1.0 + u * v_prime) * (beta_r - alpha * v) + 0.5 * u * dv_prime
-        return np.stack([v_prime, v_prime * v_prime, coef_im * coef_im], axis=1)
+        e_prime = m * np.cosh(np.arcsinh(p / m) - eta)
+        dev = (alpha * p - beta_r * e) / (alpha_b * e_prime)  # v' - c
+        return np.stack([v_prime, dev * dev, coef_im * coef_im, m * m / e_prime**3], axis=1)
 
-    vals, _ = expectation_many(packet, weights, spec, columns=3)
-    mean_v_b, mean_v2_b, im_sq = (float(x) for x in vals.real)
+    vals, _ = expectation_many(packet, weights, spec, columns=4)
+    mean_v_b, dev_sq, im_sq, mean_curv_b = (float(x) for x in vals.real)
+    var_v_b = dev_sq - (mean_v_b - c) ** 2
     ub = u * beta_i
     return MomentSet(
         mean_x=gamma * (-beta_i - ub * mean_v_b),
-        var_x=gamma * gamma * (im_sq + ub * ub * (mean_v2_b - mean_v_b * mean_v_b)),
+        var_x=gamma * gamma * (im_sq + ub * ub * var_v_b),
         mean_v=mean_v_b,
-        var_v=None,
+        var_v=var_v_b,
         mean_p=gamma * (m0.mean_p - u * m0.mean_E),
         mean_p2=None,
         mean_E=gamma * (m0.mean_E - u * m0.mean_p),
         mean_E2=None,
         cov_vx=None,
         provenance=Provenance.QUADRATURE,
+        mean_curv=mean_curv_b,
     )

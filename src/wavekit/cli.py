@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import warnings
@@ -239,10 +238,8 @@ def _cmd_boost(args, spec):
         ("mean_p_b", pred.mean_p, direct["mean_p"], abs(pred.mean_p - direct["mean_p"])),
         ("mean_v_b", pred.mean_v, direct["mean_v"], abs(pred.mean_v - direct["mean_v"])),
     ]
-    dx_b = pred.width_x
-    dv_b = math.sqrt(direct["mean_v2"] - direct["mean_v"] ** 2)
-    bound_b = 0.5 * packet.rel.mass**2 * direct["mean_E_m3"]
-    rows.append(("uncertainty_excess_b", "", dx_b * dv_b - bound_b, ""))
+    excess_b = pred.width_x * pred.width_v - 0.5 * abs(pred.mean_curv)
+    rows.append(("uncertainty_excess_b", excess_b, "", ""))
     meta = {"tolerance": args.tol, "u": u, "gamma": _canon(gamma)}
     _write_output(("quantity", "predicted", "recomputed", "abs_diff"), rows, meta, args)
     return 0

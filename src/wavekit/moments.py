@@ -164,17 +164,8 @@ def relativistic_k0_integral(mass, alpha, beta_r):
     return _rapidity_sum(mass, alpha, beta_r, 1) / (4.0 * mass)
 
 
-def moments_closed_form(packet):
-    """Per-kind closed-form moments.
-
-    The spreads are central, so they are the same at every beta_i: a
-    nonzero beta_i only translates the packet, shifting <x> by -beta_i.
-    <E''> is 1/m, <cos pa>/m, m^2 <E^-3> (the rapidity sum of power 2) and,
-    massless, <2 delta(p)> = 2|Phi(0)|^2/2pi = 2 s^2/alpha.
-    """
-    rel = packet.rel
-    alpha, beta_r, beta_i = packet.alpha, packet.beta_r, packet.beta_i
-    mean_x = 0.0 - beta_i  # 0.0, not -0.0, at beta_i = 0
+def _kind_closed_forms(rel, alpha, beta_r):
+    """The fields of ``moments_closed_form`` that depend on the kind."""
     s2 = (alpha - beta_r) * (alpha + beta_r)  # rel and massless; as in the K_0 sum
 
     if rel.kind is Kind.NON_RELATIVISTIC:
@@ -244,9 +235,28 @@ def moments_closed_form(packet):
             mean_curv=2.0 * s2 / alpha,
         )
 
+    return out
+
+
+def moments_closed_form(packet):
+    """Per-kind closed-form moments.
+
+    The spreads are central, so they are the same at every beta_i: a
+    nonzero beta_i only translates the packet, shifting <x> by -beta_i.
+    <E''> is 1/m, <cos pa>/m, m^2 <E^-3> (the rapidity sum of power 2) and,
+    massless, <2 delta(p)> = 2|Phi(0)|^2/2pi = 2 s^2/alpha.
+    ``OverflowSignal`` where a value, or a step on the way to it, leaves
+    the float range (a float ** overflows, a denominator underflows to 0).
+    """
+    try:
+        out = _kind_closed_forms(packet.rel, packet.alpha, packet.beta_r)
+    except (OverflowError, ZeroDivisionError):
+        out = None
+    if out is None or not all(math.isfinite(v) for v in out.values() if v is not None):
+        raise OverflowSignal("a closed-form moment of the packet leaves the float range")
     # Minimal packets have vanishing connected position-velocity correlation.
     return MomentSet(
-        mean_x=mean_x,
+        mean_x=0.0 - packet.beta_i,  # 0.0, not -0.0, at beta_i = 0
         cov_vx=0.0,
         provenance=Provenance.CLOSED_FORM,
         **out,

@@ -147,6 +147,13 @@ def expectation_many(packet, weight, spec=DEFAULT_SPEC, columns=1):
     return _line_integral(f, lo, hi, spec, columns=columns)
 
 
+def _nonzero(scale, name):
+    """``scale``, or ``InvalidParams`` naming it where it underflows to 0."""
+    if scale == 0.0:
+        raise InvalidParams("%s of the packet underflows to 0" % name)
+    return scale
+
+
 def closed_form_norm_constant(rel, alpha, beta_r):
     """Normalization A of the minimal packet from the paper's closed form of
     1/A^2 = (1/2pi) int exp(-2 alpha E + 2 beta_r p) dp: a Gaussian for the
@@ -155,7 +162,8 @@ def closed_form_norm_constant(rel, alpha, beta_r):
     relativistic kind, and alpha / (2 pi s^2) massless.
 
     ``OverflowSignal`` where 1/A^2 leaves the float range; ``InvalidParams``
-    where A^2 is not a finite positive float (1/A^2 underflows to 0).
+    where A^2 is not a finite positive float (1/A^2 underflows to 0), or
+    where the scale m a^2 or s^2 underflows to 0.
     """
     m = rel.mass
     with np.errstate(all="ignore"):
@@ -163,12 +171,14 @@ def closed_form_norm_constant(rel, alpha, beta_r):
             inv_a2 = math.sqrt(m / (4.0 * math.pi * alpha)) * np.exp(m * beta_r * beta_r / alpha)
         elif rel.kind is Kind.LATTICE:
             a = rel.lattice_spacing
-            inv_a2 = _bessel_i_vec(0, 2.0 * alpha / (m * a * a))[0].real / a
-        elif rel.kind is Kind.RELATIVISTIC:
-            s = math.sqrt(alpha * alpha - beta_r * beta_r)
-            inv_a2 = m * alpha * _bessel_k01_vec(2.0 * m * s)[1][0].real / (math.pi * s)
-        else:  # massless
-            inv_a2 = alpha / (2.0 * math.pi * (alpha * alpha - beta_r * beta_r))
+            inv_a2 = _bessel_i_vec(0, 2.0 * alpha / _nonzero(m * a * a, "m a^2"))[0].real / a
+        else:
+            s2 = _nonzero(alpha * alpha - beta_r * beta_r, "s^2 = alpha^2 - beta_r^2")
+            if rel.kind is Kind.RELATIVISTIC:
+                s = math.sqrt(s2)
+                inv_a2 = m * alpha * _bessel_k01_vec(2.0 * m * s)[1][0].real / (math.pi * s)
+            else:  # massless
+                inv_a2 = alpha / (2.0 * math.pi * s2)
     inv_a2 = float(inv_a2)
     if not math.isfinite(inv_a2):
         raise OverflowSignal("1/A^2 of the packet leaves the float range")
@@ -199,35 +209,8 @@ def _width_of(rel, alpha, target_v):
     return moments_closed_form(make_minimal(rel, alpha, alpha * target_v)).width_x
 
 
-def solve_parameters(rel, targets, mode="alpha"):
-    """Solve packet parameters from physical targets.
-
-    Integrating d|Phi|^2/dp = 2(beta_r - alpha v)|Phi|^2 over the packet's
-    domain gives <v> = beta_r / alpha for every kind, so beta_r is
-    ``alpha * targets.mean_velocity`` without a search. ``mode='alpha'``
-    takes ``targets.width_parameter`` as alpha directly. ``mode='width'``
-    brackets alpha and bisects until the closed-form position uncertainty
-    matches the target.
-    """
-    if mode not in ("alpha", "width"):
-        raise InvalidInput("mode must be 'alpha' or 'width'")
-    if abs(targets.mean_velocity) >= rel.max_speed():
-        raise Unsatisfiable(
-            "target |<v>| must be strictly below the dispersion's top speed"
-        )
-    if rel.kind is Kind.LATTICE:
-        if targets.mean_velocity != 0.0:
-            raise Unsatisfiable("lattice minimal packets do not move sideways")
-        if rel._sites(targets.mean_position) is None:
-            raise Unsatisfiable("lattice packets must be centered on a lattice site")
-
-    v = float(targets.mean_velocity)
-    beta_i = -float(targets.mean_position)
-    if mode == "alpha":
-        alpha = float(targets.width_parameter)
-        return make_minimal(rel, alpha, alpha * v, beta_i)
-
-    target_dx = float(targets.width_parameter)
+def _bisect_width(rel, v, target_dx):
+    """The alpha whose packet at <v> = v has Dx = target_dx, to 1e-8."""
     lo = hi = 1.0
     for _ in range(200):
         if _width_of(rel, lo, v) <= target_dx:
@@ -246,9 +229,48 @@ def solve_parameters(rel, targets, mode="alpha"):
         mid = 0.5 * (lo + hi)
         w_mid = _width_of(rel, mid, v)
         if abs(w_mid - target_dx) <= 1e-8 * target_dx:
-            return make_minimal(rel, mid, mid * v, beta_i)
+            return mid
         if w_mid < target_dx:
             lo = mid
         else:
             hi = mid
     raise NonConvergence("width bisection did not converge")
+
+
+def solve_parameters(rel, targets, mode="alpha"):
+    """Solve packet parameters from physical targets.
+
+    Integrating d|Phi|^2/dp = 2(beta_r - alpha v)|Phi|^2 over the packet's
+    domain gives <v> = beta_r / alpha for every kind, so beta_r is
+    ``alpha * targets.mean_velocity`` without a search. ``mode='alpha'``
+    takes ``targets.width_parameter`` as alpha directly. ``mode='width'``
+    inverts the closed-form position uncertainty where it inverts: Dx^2 =
+    alpha/2m gives alpha = 2m Dx^2 (nonrel), and Dx = s = alpha sqrt((1 -
+    v)(1 + v)) gives alpha = Dx/sqrt((1 - v)(1 + v)) (massless). The rel and
+    lattice widths are Bessel ratios: alpha is bracketed and bisected there
+    until the closed-form width matches the target to 1e-8.
+    """
+    if mode not in ("alpha", "width"):
+        raise InvalidInput("mode must be 'alpha' or 'width'")
+    if abs(targets.mean_velocity) >= rel.max_speed():
+        raise Unsatisfiable(
+            "target |<v>| must be strictly below the dispersion's top speed"
+        )
+    if rel.kind is Kind.LATTICE:
+        if targets.mean_velocity != 0.0:
+            raise Unsatisfiable("lattice minimal packets do not move sideways")
+        if rel._sites(targets.mean_position) is None:
+            raise Unsatisfiable("lattice packets must be centered on a lattice site")
+
+    v = float(targets.mean_velocity)
+    beta_i = -float(targets.mean_position)
+    width = float(targets.width_parameter)
+    if mode == "alpha":
+        alpha = width
+    elif rel.kind is Kind.NON_RELATIVISTIC:
+        alpha = 2.0 * rel.mass * width * width
+    elif rel.kind is Kind.MASSLESS:
+        alpha = width / math.sqrt((1.0 - v) * (1.0 + v))
+    else:
+        alpha = _bisect_width(rel, v, width)
+    return make_minimal(rel, alpha, alpha * v, beta_i)

@@ -222,10 +222,7 @@ def check_lorentz_suite(spec=DEFAULT_SPEC):
     a2, b2 = lorentz_boost_params(pk.alpha, pk.beta_r, u)
     inv_err = abs((a2 * a2 - b2 * b2) - (pk.alpha**2 - pk.beta_r**2))
 
-    dx_b = pred.width_x
-    dv_b = math.sqrt(direct["mean_v2"] - direct["mean_v"] ** 2)
-    bound_b = 0.5 * rel.mass**2 * direct["mean_E_m3"]
-    excess = dx_b * dv_b - bound_b
+    excess = pred.width_x * pred.width_v - 0.5 * abs(pred.mean_curv)
 
     u_small = 1e-5
     wave_small = boost_minimal_packet(pk, u_small, spec)

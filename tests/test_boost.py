@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wavekit import numerics
 from wavekit.boost import (
     BoostParams,
     boost_minimal_packet,
@@ -17,7 +18,7 @@ from wavekit.boost import (
 )
 from wavekit.dispersion import DispersionRelation
 from wavekit.errors import InvalidBoost, InvalidInput, KindMismatch
-from wavekit.moments import moments_quadrature
+from wavekit.moments import moments_closed_form, moments_quadrature
 from wavekit.packet import expectation_many, make_minimal
 
 NONREL = DispersionRelation.non_relativistic(3.0)
@@ -172,6 +173,24 @@ class TestBoostedWave:
             lorentz_boost_wavefunction(lambda p: p, 0.5, 1.0, window)
 
 
+def _direct_spread(wave):
+    """Two-pass oracle over the boosted wave itself: <v'> of |Psi_b(p')|^2
+    first, then the central Var v' about it and <E''>' = <m^2/E'^3>."""
+
+    def moment(weight):
+        def f(p_prime):
+            return weight(p_prime) * (np.abs(wave(p_prime)) ** 2)[:, np.newaxis]
+
+        return numerics._line_integral(f, *wave.window, numerics.DEFAULT_SPEC, columns=2)[0].real
+
+    norm, mean_v = moment(lambda p: np.stack([np.ones_like(p), REL.velocity(p)], axis=1))
+    mean_v /= norm
+    var_v, mean_curv = moment(
+        lambda p: np.stack([(REL.velocity(p) - mean_v) ** 2, REL.curvature(p)], axis=1)
+    )
+    return var_v / norm, mean_curv / norm
+
+
 class TestBoostedExpectations:
     def test_zero_boost_matches_original(self):
         pk = make_minimal(REL, 1.0, 0.25, 0.0)
@@ -181,6 +200,9 @@ class TestBoostedExpectations:
         assert pred.mean_p == pytest.approx(m0.mean_p, rel=1e-12)
         assert pred.mean_v == pytest.approx(m0.mean_v, abs=1e-10)
         assert pred.mean_x2 == pytest.approx(m0.mean_x2, rel=1e-10)
+        mc = moments_closed_form(pk)
+        assert pred.var_v == pytest.approx(mc.var_v, rel=1e-10)
+        assert pred.mean_curv == pytest.approx(mc.mean_curv, rel=1e-10)
 
     def test_linear_map_against_direct_quadrature(self):
         pk = make_minimal(REL, 1.0, 0.0, 0.0)
@@ -201,13 +223,33 @@ class TestBoostedExpectations:
         assert pred.mean_x == -1000.0
 
     def test_minimality_is_frame_dependent(self):
-        pk = make_minimal(REL, 1.0, 0.0, 0.0)
-        u = 0.6
+        pred = boosted_expectations(make_minimal(REL, 1.0, 0.0, 0.0), 0.6)
+        assert pred.width_x * pred.width_v - 0.5 * abs(pred.mean_curv) >= 1e-4
+
+    @pytest.mark.parametrize(
+        "alpha,beta_r,u",
+        [
+            (1.0, 0.0, 0.6),
+            (1.0, 0.25, 0.2),
+            (1.0, 0.5, -0.8),
+            (2.0, -1.0, 0.95),
+            (10.0, 9.0, 0.3),
+            (5.0, 4.9, 0.99),
+            (50.0, -49.9, 0.9999),
+            (50.0, 49.0, -0.999),
+            (200.0, 199.9, -0.9),
+            (300.0, 299.99, 0.5),
+        ],
+    )
+    def test_boosted_spread_against_the_boosted_wave(self, alpha, beta_r, u):
+        # Near light speed the raw <v'^2> - <v'>^2 went negative; the central
+        # Var v' is positive, and so is the excess over the bound.
+        pk = make_minimal(REL, alpha, beta_r, 0.0)
         pred = boosted_expectations(pk, u)
-        direct = boosted_wave_moments(boost_minimal_packet(pk, u))
-        dv_b = math.sqrt(direct["mean_v2"] - direct["mean_v"] ** 2)
-        bound_b = 0.5 * direct["mean_E_m3"]
-        assert pred.width_x * dv_b - bound_b >= 1e-4
+        var_v, mean_curv = _direct_spread(boost_minimal_packet(pk, u))
+        assert pred.var_v == pytest.approx(var_v, rel=1e-6)
+        assert pred.mean_curv == pytest.approx(mean_curv, rel=1e-10)
+        assert pred.width_x * pred.width_v - 0.5 * abs(pred.mean_curv) >= 0.0
 
     def test_far_translated_width_at_zero_boost(self):
         # The boosted <x^2> minus <x>^2 cancelled beta_i^2 = 1e10 here.

@@ -236,7 +236,59 @@ def test_boost_report(tmp_path):
     assert float(by_name["beta_r_prime"][1]) == pytest.approx(-0.75)
     assert float(by_name["norm"][3]) <= 1e-8
     assert float(by_name["mean_E_b"][3]) <= 1e-7
-    assert float(by_name["uncertainty_excess_b"][2]) >= 1e-4
+    assert float(by_name["uncertainty_excess_b"][1]) >= 1e-4
+    assert by_name["uncertainty_excess_b"][2:] == ["", ""]
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--alpha", "50", "--beta-re", "-49.9", "--boost-u", "0.9999"),
+        ("--alpha", "50", "--beta-re", "-49.9", "--boost-u", "0.9999", "--beta-im", "10000"),
+        ("--alpha", "50", "--beta-re", "49", "--boost-u", "-0.999"),
+        ("--alpha", "200", "--beta-re", "199.9", "--boost-u", "-0.9"),
+        ("--alpha", "300", "--beta-re", "299.99", "--boost-u", "0.5"),
+    ],
+)
+def test_boost_near_light_speed_is_not_minimal(flags):
+    # The raw <v'^2> - <v'>^2 went negative here: a math domain error, a
+    # negative var_x, or an excess of about -5e-11.
+    cp = run_cli("boost", "--dispersion", "rel", "--mass", "1", *flags, "--format", "json")
+    assert cp.returncode == 0, cp.stderr
+    rows = {row[0]: row for row in json.loads(cp.stdout)["rows"]}
+    assert rows["uncertainty_excess_b"][1] >= 0.0
+
+
+def test_boost_at_zero_speed_stays_minimal():
+    cp = run_cli(
+        "boost", "--dispersion", "rel", "--mass", "1", "--alpha", "1", "--boost-u", "0",
+        "--beta-im", "1000", "--format", "json",
+    )
+    assert cp.returncode == 0, cp.stderr
+    rows = {row[0]: row for row in json.loads(cp.stdout)["rows"]}
+    assert abs(rows["uncertainty_excess_b"][1]) <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (("moments", "--dispersion", "nonrel", "--alpha", "1e-300"), "float range"),
+        (("moments", "--dispersion", "nonrel", "--alpha", "1", "--mass", "1e300"), "float range"),
+        (("cosmo", "--dispersion", "nonrel", "--alpha", "1e-300"), "float range"),
+        (("moments", "--dispersion", "massless", "--alpha", "1e-300"), "s^2"),
+        (("spread", "--dispersion", "massless", "--alpha", "1e-300"), "s^2"),
+        (("moments", "--dispersion", "lattice", "--alpha", "1", "--spacing", "1e-200"), "m a^2"),
+        (("moments", "--dispersion", "rel", "--alpha", "1e-300"), "s^2"),
+        (("moments", "--dispersion", "rel", "--alpha", "1e-100"), "float range"),
+        (("moments", "--dispersion", "lattice", "--alpha", "1", "--spacing", "1e100"), "float range"),
+    ],
+)
+def test_float_edge_parameters_are_typed_errors(args, message):
+    # Each raised OverflowError or ZeroDivisionError (or, rel at 1e-300, a
+    # K_0/K_1 argument error) where a closed form left the float range.
+    cp = run_cli(*args)
+    _assert_config_error(cp)
+    assert message in cp.stderr
 
 
 def test_cosmo_trace(tmp_path):

@@ -208,6 +208,21 @@ class TestSolveParameters:
         assert m.width_x == pytest.approx(0.8, rel=1e-7)
         assert m.mean_v == pytest.approx(v, abs=1e-9)
 
+    @pytest.mark.parametrize("target_dx", [35.0, 37.0])
+    def test_nonrel_width_inverts_in_closed_form(self, target_dx):
+        # alpha = 2 m Dx^2 directly. A bracket doubling alpha to 4096 met
+        # exp(m alpha v^2) past the float range, although alpha = 2450 fits.
+        rel = DispersionRelation.non_relativistic(1.0)
+        pk = solve_parameters(rel, MomentTargets(0.5, 0.0, target_dx), mode="width")
+        assert pk.alpha == 2.0 * target_dx * target_dx
+        assert moments.moments_closed_form(pk).width_x == pytest.approx(target_dx, rel=1e-14)
+
+    @pytest.mark.parametrize("v", [0.0, 0.5, -0.9])
+    def test_massless_width_inverts_in_closed_form(self, v):
+        # Dx = s = alpha sqrt((1 - v)(1 + v)); the bisection stopped at 1e-8.
+        pk = solve_parameters(MASSLESS, MomentTargets(v, 0.0, 20.0), mode="width")
+        assert moments.moments_closed_form(pk).width_x == pytest.approx(20.0, rel=1e-14)
+
     @pytest.mark.parametrize("rel", [NONREL, REL, MASSLESS], ids=["nonrel", "rel", "massless"])
     def test_alpha_mode_uses_velocity_identity(self, rel):
         # <v> = beta_r / alpha holds exactly, so beta_r is set, not searched.
