@@ -14,6 +14,7 @@ from dataclasses import replace
 import numpy as np
 
 from .dispersion import Kind
+from .errors import OverflowSignal
 from .moments import moments_quadrature, spreading_width_sq, ehrenfest_position
 from .numerics import DEFAULT_SPEC, _adaptive
 from .propagation import evolve_closed
@@ -54,7 +55,10 @@ def _evolved_central(packet, t, m0, spec):
     if m0 is None:
         m0 = moments_quadrature(packet, spec)
     center = ehrenfest_position(m0, t)
-    width = math.sqrt(max(spreading_width_sq(m0, t), 1e-12))
+    width_sq = spreading_width_sq(m0, t)
+    if not np.finfo(float).tiny <= width_sq < math.inf:
+        raise OverflowSignal("the predicted spread Var x(t) = %r is not a positive normal float" % width_sq)
+    width = math.sqrt(width_sq)
     # About -beta_i the density is that of beta_i = 0, so positions are
     # taken from there and the rounding of |beta_i| never enters its shape.
     origin = replace(packet, beta_i=0.0)
@@ -75,7 +79,7 @@ def _evolved_central(packet, t, m0, spec):
         dens = np.abs(evolve_closed(origin, offset + width * u, t)) ** 2 * width * (1.0 + u * u)
         return dens[:, np.newaxis] * np.stack([np.ones_like(u), (1.0 + u) ** 2, (1.0 - u) ** 2], axis=1)
 
-    sums, _ = _adaptive(f, -0.5 * math.pi, 0.5 * math.pi, spec, initial_panels=16, columns=3)
+    sums, _ = _adaptive(f, np.linspace(-0.5 * math.pi, 0.5 * math.pi, 17), spec, columns=3)
     mass, plus, minus = sums.real
     mean_u = 0.25 * (plus - minus) / mass
     second_u = (0.5 * (plus + minus) - mass) / mass

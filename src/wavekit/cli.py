@@ -224,15 +224,13 @@ def _cmd_boost(args, spec):
     direct = boosted_wave_moments(wave, spec)
     pred = boosted_expectations(packet, u, m0, spec)
 
+    # Factored on both sides: alpha_b**2 - beta_b**2 cancels the large squares.
+    invariant = (packet.alpha - packet.beta_r) * (packet.alpha + packet.beta_r)
+    invariant_b = (alpha_b - beta_b) * (alpha_b + beta_b)
     rows = [
         ("alpha_prime", alpha_b, alpha_b, 0.0),
         ("beta_r_prime", beta_b, beta_b, 0.0),
-        (
-            "alpha2_minus_beta2",
-            packet.alpha**2 - packet.beta_r**2,
-            alpha_b**2 - beta_b**2,
-            abs((packet.alpha**2 - packet.beta_r**2) - (alpha_b**2 - beta_b**2)),
-        ),
+        ("alpha2_minus_beta2", invariant, invariant_b, abs(invariant - invariant_b)),
         ("norm", 1.0, direct["norm"], abs(direct["norm"] - 1.0)),
         ("mean_E_b", pred.mean_E, direct["mean_E"], abs(pred.mean_E - direct["mean_E"])),
         ("mean_p_b", pred.mean_p, direct["mean_p"], abs(pred.mean_p - direct["mean_p"])),

@@ -181,7 +181,7 @@ def _time_integral_grid(func, t_values, k, spec=DEFAULT_SPEC):
     edges = np.concatenate([[0.0], t_values])
     for i in np.flatnonzero(edges[1:] > edges[:-1]):
         try:
-            steps[i] = _adaptive(func, edges[i], edges[i + 1], spec, columns=k)[0].real
+            steps[i] = _adaptive(func, edges[i:i + 2], spec, columns=k)[0].real
         except NonConvergence as exc:
             raise NonConvergence("time integral: %s" % exc, exc.value, exc.abs_error) from None
     return np.cumsum(steps, axis=0)

@@ -154,7 +154,9 @@ def _rapidity_sum(mass, alpha, beta_r, power):
     h = min(0.2, 0.5 / math.sqrt(z))
     k = int(math.acosh(1.0 + 40.0 / z) / h)
     u = h * np.arange(-k, k + 1)
-    terms = np.exp(-2.0 * z * np.sinh(0.5 * u) ** 2) / np.cosh(u + math.asinh(beta_r / s)) ** power
+    # At small z, |u| reaches log(80/z): a term past float max is 0, its limit.
+    with np.errstate(over="ignore"):
+        terms = np.exp(-2.0 * z * np.sinh(0.5 * u) ** 2) / np.cosh(u + math.asinh(beta_r / s)) ** power
     return math.exp(-z) * h * float(terms.sum())
 
 

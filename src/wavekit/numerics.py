@@ -7,14 +7,16 @@ dependencies beyond numpy.
 
 Finite-interval integrals use a batched, globally adaptive Gauss-Kronrod
 10/21 rule (``_adaptive``): one 21-point evaluation per panel gives the
-Kronrod value and the |K21 - G10| error estimate. The initial panels come in
-one vectorised integrand call, and each round splits the worst panels
-together and evaluates all their children in one more; a call is split only
-where it would exceed ``_CALL_ELEMENTS`` output values. Every caller declares
-its integrand's column count, which sizes the calls and is checked against
-what the integrand returns, so no integrator probes. Line integrals run it
-over a window [lo, hi]; a packet's is the level set of its log-density at the
-tail budget (``density_window``).
+Kronrod value and the |K21 - G10| error estimate. Callers pass the edges of
+the initial panels, which come in one vectorised integrand call; each round
+splits the worst panels together and evaluates their children in one more,
+and a call is split only where it would exceed ``_CALL_ELEMENTS`` output
+values. Callers declare the integrand's column count, which sizes the calls
+and is checked, so no integrator probes. No absolute scale stops the rule:
+its floor grows with the integrand's size, and a panel is too narrow only
+relative to its integral's ends. Line integrals (``_line_integral``) cut a
+window into equal panels plus an edge at 0, where |p| kinks; a packet's
+window is the level set of its log-density at the tail budget.
 
 Bessel strategy: K_0/K_1 by power series for |z| <= 4 and, beyond that,
 one fixed 19-node trapezoid sum on the steepest-descent path of their
@@ -209,16 +211,8 @@ def _ratio(err, tol):
 def _cover(order, err, excess):
     """The leading panels of ``order`` whose errors, summed, reach ``excess``
     in every component (all of ``order`` if none do)."""
-    reached = np.zeros_like(excess)
-    start, step = 0, 4
-    while start < len(order):
-        cum = reached + np.cumsum(err[order[start:start + step]], axis=0)
-        done = np.all(cum >= excess, axis=1)
-        if done.any():
-            return order[:start + int(np.argmax(done)) + 1]
-        reached = cum[-1]
-        start, step = start + step, 2 * step
-    return order
+    done = np.all(np.cumsum(err[order], axis=0) >= excess, axis=1)
+    return order[:int(np.argmax(done)) + 1] if done.any() else order
 
 
 def _nonconvergence(message, a, b, err, tol, total, toterr, shape):
@@ -231,8 +225,9 @@ def _nonconvergence(message, a, b, err, tol, total, toterr, shape):
     )
 
 
-def _adaptive(f, lo, hi, spec, breakpoints=(), initial_panels=1, columns=1):
-    """Globally adaptive Gauss-Kronrod 10/21 quadrature on [lo, hi].
+def _adaptive(f, edges, spec, columns=1):
+    """Globally adaptive Gauss-Kronrod 10/21 quadrature over the panels
+    between consecutive ``edges`` (an increasing float array).
 
     ``f`` maps an ndarray of points to complex values of shape
     ``(npoints,) + S``, where ``S`` holds the declared ``columns`` values
@@ -240,24 +235,20 @@ def _adaptive(f, lo, hi, spec, breakpoints=(), initial_panels=1, columns=1):
     ``S`` (scalar integrands give 0-d arrays). Each panel costs 21
     evaluations: its value is the Kronrod sum and its error |K21 - G10|,
     the Gauss rule sharing every other node. Each round splits, in one
-    batch, the panels of highest priority (largest err/tol at the round's
-    tolerance) until their errors cover the excess of the total error over
-    the tolerance, never past ``_MAX_SUBDIVISIONS``. The initial panels and
-    then each round's children are evaluated in one integrand call, split
-    into calls of at most ``_CALL_ELEMENTS`` output values (never below one
-    panel per call), so the first call is sized like every other. Children
-    reach the integrand in order, each parent's two side by side. Panels
-    live in arrays updated in place (children are written straight into
-    them), with running totals. Convergence requires every component to
-    meet ``rtol*|value| + floor``. ``NonConvergence`` (on an exhausted
+    batch, the shortest run of panels ranked by err/tol whose errors cover
+    the excess of the total error over the tolerance (``_cover``), never
+    past ``_MAX_SUBDIVISIONS``. The initial panels and then each round's
+    children are evaluated in one integrand call, split into calls of at
+    most ``_CALL_ELEMENTS`` output values (never below one panel per call).
+    Children reach the integrand in order, each parent's two side by side.
+    Panels live in arrays updated in place, with running totals. Every
+    component must meet ``rtol*|value| + floor * max(1, sum |panel values|)``,
+    a floor scaled by the integrand's size as in QUADPACK; the unscaled test
+    runs first and implies it. Panels no wider than 1e-15 of the larger outer
+    edge's magnitude are unsplittable. ``NonConvergence`` (on an exhausted
     budget, an unsplittable panel or a non-finite value) names the worst
     panel and its err/tol.
     """
-    edges = {float(lo), float(hi)}
-    edges.update(float(p) for p in breakpoints if lo < p < hi)
-    if initial_panels > 1:
-        edges.update(np.linspace(lo, hi, initial_panels + 1))
-    edges = np.array(sorted(edges))
     rtol, floor = spec.relative_tolerance, spec.absolute_floor
 
     per_call = max(1, _CALL_ELEMENTS // (len(_GK_NODES) * columns))
@@ -269,10 +260,12 @@ def _adaptive(f, lo, hi, spec, breakpoints=(), initial_panels=1, columns=1):
     total = pq[:n].sum(axis=0)
     toterr = pe[:n].sum(axis=0)
     splits = 0
-    scale = max(abs(lo), abs(hi), 1.0)
+    scale = max(abs(edges[0]), abs(edges[-1]))
 
     while True:
         tol = rtol * np.abs(total) + floor
+        if not np.all(toterr <= tol):
+            tol = rtol * np.abs(total) + floor * np.maximum(1.0, np.abs(pq[:n]).sum(axis=0))
         if np.all(toterr <= tol):
             return total.reshape(shape), toterr.reshape(shape)
         if not np.all(np.isfinite(toterr)):
@@ -331,9 +324,12 @@ def _tail_budget(spec):
 
 def _line_integral(f, lo, hi, spec, panels=8, columns=1):
     """Adaptive integral of ``f``, ``columns`` values per point, over the
-    momentum window [lo, hi], with a breakpoint at 0 (where |p| kinks) and
-    ``panels`` equal initial panels; returns (value, err) arrays."""
-    return _adaptive(f, lo, hi, spec, breakpoints=(0.0,), initial_panels=panels, columns=columns)
+    momentum window [lo, hi] from ``panels`` equal panels, plus an edge at 0
+    (where |p| kinks) if 0 lies inside and is not one; returns (value, err)."""
+    edges = np.linspace(lo, hi, panels + 1)
+    if lo < 0.0 < hi and 0.0 not in edges:
+        edges = np.insert(edges, np.searchsorted(edges, 0.0), 0.0)
+    return _adaptive(f, edges, spec, columns)
 
 
 # Nodes past which the periodic rule stops doubling (and will not start).

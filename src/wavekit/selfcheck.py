@@ -209,14 +209,13 @@ def check_lorentz_suite(spec=DEFAULT_SPEC):
     pk = make_minimal(rel, 1.0, 0.0, 0.0)
     m0 = moments_quadrature(pk, spec)
     u = 0.6
-    gamma = 1.0 / math.sqrt(1.0 - u * u)
     wave = boost_minimal_packet(pk, u, spec)
     direct = boosted_wave_moments(wave, spec)
     pred = boosted_expectations(pk, u, m0, spec)
 
     norm_err = abs(direct["norm"] - 1.0)
-    e_err = abs(direct["mean_E"] - gamma * (m0.mean_E - u * m0.mean_p))
-    p_err = abs(direct["mean_p"] - gamma * (m0.mean_p - u * m0.mean_E))
+    e_err = abs(direct["mean_E"] - pred.mean_E)
+    p_err = abs(direct["mean_p"] - pred.mean_p)
     v_err = abs(direct["mean_v"] - pred.mean_v)
 
     a2, b2 = lorentz_boost_params(pk.alpha, pk.beta_r, u)
@@ -467,7 +466,7 @@ def check_special_functions(spec=DEFAULT_SPEC):
             z = r * complex(math.cos(phase), math.sin(phase))
             ref, _ = numerics._adaptive(
                 lambda t: np.exp(z * np.cos(t))[:, None] * np.cos(np.outer(t, orders)) / math.pi,
-                0.0, math.pi, spec, initial_panels=8, columns=len(orders),
+                np.linspace(0.0, math.pi, 9), spec, columns=len(orders),
             )
             got = numerics._i_recurrence(orders, z)[0]
             err = np.max(np.abs(got - ref) / np.abs(ref))

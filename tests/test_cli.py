@@ -2,12 +2,15 @@
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+
+from wavekit import cli
 
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -639,3 +642,44 @@ def test_config_values_starting_with_dash(tmp_path):
     flags = ("--dispersion", "nonrel", "--alpha", "1", "--beta-re=-1e-05")
     assert run_cli("moments", *flags, "--out", str(want)).returncode == 0
     assert (tmp_path / "-m.csv").read_bytes() == want.read_bytes()
+
+
+_SCALES = ("1e-300", "1e-100", "1e-50", "1e-10", "1", "1e10", "1e50", "1e100", "1e300")
+_SCALED_FLAGS = {
+    "nonrel": ("--alpha", "--mass"),
+    "rel": ("--alpha", "--mass"),
+    "massless": ("--alpha",),
+    "lattice": ("--alpha", "--spacing"),
+}
+# The split packet's two 1e-10-wide peaks sit at theta ~ +-pi/4 of the
+# evolved-moment integral over x = c + w tan(theta), finer than the theta
+# rule resolves there.
+_UNRESOLVED = {("spread", "rel", "--alpha", "1e-10"), ("spread", "massless", "--alpha", "1e-10")}
+
+
+def _scale_sweep():
+    for command in ("moments", "spread", "cosmo", "boost"):
+        for kind in ("rel",) if command == "boost" else _SCALED_FLAGS:
+            for flag in _SCALED_FLAGS[kind]:
+                for value in _SCALES:
+                    yield command, kind, flag, value
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command, kind, flag, value", list(_scale_sweep()))
+def test_scale_sweep(command, kind, flag, value, capsys):
+    # Physically valid packets from 1e-300 to 1e300 in alpha, mass or spacing
+    # (the others at 1): an answer with finite numbers or a typed error, never
+    # a traceback or a warning.
+    argv = [command, "--dispersion", kind, "--alpha", "1", flag, value]
+    if command == "boost":
+        argv += ["--boost-u", "0.5"]
+    code = cli.main(argv)
+    out = capsys.readouterr().out
+    if (command, kind, flag, value) in _UNRESOLVED:
+        assert code == 1
+        return
+    assert code in (0, 2)
+    if code == 0:
+        fields = [f for line in out.splitlines()[1:] for f in line.split(",")[1:] if f]
+        assert all(math.isfinite(float(f)) for f in fields), out

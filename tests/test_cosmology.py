@@ -430,9 +430,9 @@ class TestTimeIntegralGrid:
         specs = []
         adaptive = cosmology._adaptive
 
-        def recording(f, lo, hi, spec, **kwargs):
+        def recording(f, edges, spec, **kwargs):
             specs.append(spec)
-            return adaptive(f, lo, hi, spec, **kwargs)
+            return adaptive(f, edges, spec, **kwargs)
 
         monkeypatch.setattr(cosmology, "_adaptive", recording)
         spec = QuadratureSpec(relative_tolerance=1e-8)

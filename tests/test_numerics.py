@@ -102,7 +102,7 @@ class TestGaussKronrodRule:
     )
     def test_closed_forms(self, f, breakpoints, exact):
         w = numerics._tail_budget(numerics.DEFAULT_SPEC)
-        value, _ = numerics._adaptive(f, -w, w, numerics.DEFAULT_SPEC, breakpoints=breakpoints)
+        value, _ = numerics._adaptive(f, np.array([-w, *breakpoints, w]), numerics.DEFAULT_SPEC)
         assert abs(value - exact) <= 1e-10 * abs(exact)
 
     @pytest.mark.parametrize("width", [1, 3, 4000])
@@ -146,7 +146,7 @@ class TestGaussKronrodRule:
             return 1.0 / np.sqrt(np.abs(p - 1.0 / 3.0) + 1e-30)
 
         with pytest.raises(NonConvergence, match=r"stalled; worst panel \[0\.333.*\] at err/tol") as info:
-            numerics._adaptive(f, -1.0, 1.0, numerics.DEFAULT_SPEC)
+            numerics._adaptive(f, np.array([-1.0, 1.0]), numerics.DEFAULT_SPEC)
         assert info.value.value is not None and info.value.abs_error is not None
 
     def test_non_finite_value_fails_at_once(self):
@@ -157,7 +157,7 @@ class TestGaussKronrodRule:
             return np.where(np.abs(p - 0.3) < 0.01, np.nan, 1.0)
 
         with pytest.raises(NonConvergence, match=r"non-finite integrand value; worst panel \[0\.25, 0\.5\]"):
-            numerics._adaptive(f, -1.0, 1.0, numerics.DEFAULT_SPEC, initial_panels=8)
+            numerics._adaptive(f, np.linspace(-1.0, 1.0, 9), numerics.DEFAULT_SPEC)
         assert sum(points) == 8 * 21
 
     @pytest.mark.parametrize("width", [4, 4000])
@@ -171,6 +171,58 @@ class TestGaussKronrodRule:
         vals, errs = expectation_many(pk, weights, columns=width)
         assert np.all(vals[2:] == vals[2]) and np.all(errs[2:] == errs[2])
 
+    def test_cover_is_the_shortest_reaching_prefix(self):
+        err = np.array([[1.0, 0.0], [2.0, 5.0], [4.0, 1.0], [8.0, 1.0]])
+        order = np.array([3, 2, 1, 0])
+        # Running sums along the order: [8, 1], [12, 2], [14, 7], [15, 7].
+        assert list(numerics._cover(order, err, np.array([9.0, 2.0]))) == [3, 2]
+        assert list(numerics._cover(order, err, np.array([12.0, 2.0]))) == [3, 2]
+        assert list(numerics._cover(order, err, np.array([8.0, 7.0]))) == [3, 2, 1]
+        assert list(numerics._cover(order, err, np.array([-1.0, -1.0]))) == [3]
+        # No prefix reaches the excess: the whole order, truncated or not.
+        assert list(numerics._cover(order, err, np.array([16.0, 0.0]))) == [3, 2, 1, 0]
+        assert list(numerics._cover(order[:2], err, np.array([13.0, 0.0]))) == [3, 2]
+
+    @pytest.mark.parametrize(
+        "lo, hi, panels, extra",
+        [
+            (-1.0, 2.0, 8, 1),
+            (-1.0, 2.0, 4, 1),
+            (-1.0, 1.0, 8, 0),  # 0 is already the middle edge
+            (0.5, 2.0, 8, 0),
+            (-2.0, -0.5, 8, 0),
+            (0.0, 1.0, 8, 0),
+        ],
+    )
+    def test_line_integral_edge_at_zero(self, lo, hi, panels, extra):
+        calls = []
+
+        def f(p):
+            calls.append(p)
+            return np.exp(-np.abs(p))
+
+        numerics._line_integral(f, lo, hi, numerics.DEFAULT_SPEC, panels=panels)
+        first = calls[0].reshape(-1, 21)
+        assert len(first) == panels + extra
+        # No initial panel straddles the kink at 0.
+        assert np.all((first.max(axis=1) <= 0.0) | (first.min(axis=1) >= 0.0))
+
+    @pytest.mark.parametrize("scale", [1e-100, 1e-50, 1e-10, 1e10, 1e50, 1e100])
+    def test_convergence_is_scale_free(self, scale):
+        # The density exp(-|x|) cos(40 x)/scale at x = p/scale integrates to
+        # 2/1601 at every scale and needs refinement: at small scales its
+        # panels fall far below 1e-15 wide and must stay splittable. Its odd
+        # p-weighted column is 0 at size `scale`, which no absolute floor fits
+        # at large scales.
+        def f(p):
+            g = np.exp(-np.abs(p / scale)) * np.cos(40.0 * p / scale) / scale
+            return np.column_stack([g, p * g])
+
+        w = numerics._tail_budget(numerics.DEFAULT_SPEC) * scale
+        value, _ = numerics._line_integral(f, -w, w, numerics.DEFAULT_SPEC, columns=2)
+        assert abs(value[0] - 2.0 / 1601.0) <= 1e-9 * 2.0 / 1601.0
+        assert abs(value[1]) <= 1e-12 * max(1.0, scale)
+
 
 class TestIntegrandEvaluation:
     def test_integrand_error_propagates(self):
@@ -181,12 +233,12 @@ class TestIntegrandEvaluation:
             raise DomainError("momentum outside the domain")
 
         with pytest.raises(DomainError):
-            numerics._adaptive(f, -1.0, 1.0, numerics.DEFAULT_SPEC)
+            numerics._adaptive(f, np.array([-1.0, 1.0]), numerics.DEFAULT_SPEC)
         assert len(calls) == 1
 
     def test_scalar_integrand_rejected(self):
         with pytest.raises(InvalidInput):
-            numerics._adaptive(lambda p: 1.0, -1.0, 1.0, numerics.DEFAULT_SPEC)
+            numerics._adaptive(lambda p: 1.0, np.array([-1.0, 1.0]), numerics.DEFAULT_SPEC)
 
     @pytest.mark.parametrize("returned, declared", [(1, 3), (3, 1), (4, 3)])
     def test_undeclared_width_rejected(self, returned, declared):
@@ -195,7 +247,7 @@ class TestIntegrandEvaluation:
 
         with pytest.raises(InvalidInput, match="returned %d columns per point; its caller declared %d"
                            % (returned, declared)):
-            numerics._adaptive(f, -1.0, 1.0, numerics.DEFAULT_SPEC, columns=declared)
+            numerics._adaptive(f, np.array([-1.0, 1.0]), numerics.DEFAULT_SPEC, columns=declared)
         with pytest.raises(InvalidInput, match="returned %d columns" % returned):
             numerics._periodic(f, 2.0 * math.pi, numerics.DEFAULT_SPEC, columns=declared)
 
@@ -530,10 +582,8 @@ class TestBesselJY:
         def oracle(x):
             val, _ = numerics._adaptive(
                 lambda th: np.cos(x * np.sin(th)).astype(complex) / math.pi,
-                0.0,
-                math.pi,
+                np.linspace(0.0, math.pi, 9),
                 numerics.DEFAULT_SPEC,
-                initial_panels=8,
             )
             return float(val.real)
 

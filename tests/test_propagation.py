@@ -375,7 +375,7 @@ def test_caller_spec_reaches_evolved_moments(monkeypatch):
     pk = make_minimal(REL, 1.0, 0.5)
     specs = []
     adaptive = analysis._adaptive
-    monkeypatch.setattr(analysis, "_adaptive", lambda f, lo, hi, s, **kw: specs.append(s) or adaptive(f, lo, hi, s, **kw))
+    monkeypatch.setattr(analysis, "_adaptive", lambda f, edges, s, **kw: specs.append(s) or adaptive(f, edges, s, **kw))
     mass, _, _ = evolved_moments(pk, 2.0, spec=spec)
     assert specs == [spec]
     assert mass == pytest.approx(1.0, abs=1e-7)
