@@ -42,7 +42,6 @@ from .moments import (
     moments_closed_form,
     moments_quadrature,
     spreading_width_sq,
-    uncertainty_bound,
 )
 from .numerics import QuadratureSpec
 from .packet import make_minimal
@@ -143,23 +142,24 @@ def _grid_from(args, key):
     return np.linspace(lo, hi, steps)
 
 
+def _row(name, a, b):
+    """A comparison row: both values and |a - b|, blank where either is absent."""
+    return (name, a, b, None if a is None or b is None else abs(a - b))
+
+
 def _cmd_moments(args, spec):
     """The bound's quadrature column is the oracle's (1/2)|<E''>|; massless has none."""
     packet = _packet_from(args)
     method = args.method
-    closed = moments_closed_form(packet) if method in ("closed", "both") else None
+    closed_set = moments_closed_form(packet)
+    closed = closed_set if method in ("closed", "both") else None
     quad = moments_quadrature(packet, spec) if method in ("quadrature", "both") else None
-
-    def row(name, c, q):
-        return (name, c, q, abs(c - q) if (c is not None and q is not None) else None)
-
-    rows = [row(f, getattr(closed, f, None), getattr(quad, f, None)) for f in MomentSet.FIELDS]
+    rows = [_row(f, getattr(closed, f, None), getattr(quad, f, None)) for f in MomentSet.FIELDS]
     max_diff = max((r[3] for r in rows if r[3] is not None), default=0.0)
-    bound = uncertainty_bound(packet)
-    curv = getattr(quad, "mean_curv", None)
-    rows.append(row("uncertainty_bound", bound, None if curv is None else 0.5 * abs(curv)))
+    bound = closed_set.bound
+    rows.append(_row("uncertainty_bound", bound, getattr(quad, "bound", None)))
     residuals = [m and m.width_x * m.width_v - bound for m in (closed, quad)]
-    rows.append(row("saturation_residual", *residuals))
+    rows.append(_row("saturation_residual", *residuals))
     meta = {
         "tolerance": args.tol,
         "max_abs_diff": _canon(max_diff),
@@ -205,7 +205,7 @@ def _cmd_spread(args, spec):
         analytic = spreading_width_sq(m0, float(t))
         from_grid = _evolved_central(packet, float(t), m0, spec)[2]
         diff = abs(analytic - from_grid)
-        worst = max(worst, diff / max(analytic, 1e-30))
+        worst = max(worst, diff / analytic)
         rows.append((t, analytic, from_grid, diff))
     meta = {"tolerance": args.tol, "max_rel_deviation": _canon(worst)}
     _write_output(("t", "width_sq_analytic", "width_sq_grid", "abs_diff"), rows, meta, args)
@@ -228,16 +228,15 @@ def _cmd_boost(args, spec):
     invariant = (packet.alpha - packet.beta_r) * (packet.alpha + packet.beta_r)
     invariant_b = (alpha_b - beta_b) * (alpha_b + beta_b)
     rows = [
-        ("alpha_prime", alpha_b, alpha_b, 0.0),
-        ("beta_r_prime", beta_b, beta_b, 0.0),
-        ("alpha2_minus_beta2", invariant, invariant_b, abs(invariant - invariant_b)),
-        ("norm", 1.0, direct["norm"], abs(direct["norm"] - 1.0)),
-        ("mean_E_b", pred.mean_E, direct["mean_E"], abs(pred.mean_E - direct["mean_E"])),
-        ("mean_p_b", pred.mean_p, direct["mean_p"], abs(pred.mean_p - direct["mean_p"])),
-        ("mean_v_b", pred.mean_v, direct["mean_v"], abs(pred.mean_v - direct["mean_v"])),
+        _row("alpha_prime", alpha_b, alpha_b),
+        _row("beta_r_prime", beta_b, beta_b),
+        _row("alpha2_minus_beta2", invariant, invariant_b),
+        _row("norm", 1.0, direct["norm"]),
+        _row("mean_E_b", pred.mean_E, direct["mean_E"]),
+        _row("mean_p_b", pred.mean_p, direct["mean_p"]),
+        _row("mean_v_b", pred.mean_v, direct["mean_v"]),
+        ("uncertainty_excess_b", pred.width_x * pred.width_v - pred.bound, "", ""),
     ]
-    excess_b = pred.width_x * pred.width_v - 0.5 * abs(pred.mean_curv)
-    rows.append(("uncertainty_excess_b", excess_b, "", ""))
     meta = {"tolerance": args.tol, "u": u, "gamma": _canon(gamma)}
     _write_output(("quantity", "predicted", "recomputed", "abs_diff"), rows, meta, args)
     return 0
@@ -306,12 +305,10 @@ def _cmd_figures(args, spec):
 
 
 def _cmd_selfcheck(args, spec):
-    results = run_all(spec=spec)
-    all_pass = True
+    results = run_all(spec)
     for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        all_pass &= r.passed
-        sys.stdout.write(f"{status} {r.name} [{r.elapsed:.1f}s] {r.detail}\n")
+        sys.stdout.write(r.line + "\n")
+    all_pass = all(r.passed for r in results)
     sys.stdout.write("selfcheck: %s\n" % ("all checks passed" if all_pass else "FAILURES"))
     return 0 if all_pass else 1
 

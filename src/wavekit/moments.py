@@ -92,6 +92,11 @@ class MomentSet:
     def width_v(self):
         return math.sqrt(self.var_v)
 
+    @property
+    def bound(self):
+        """(1/2)|<d^2E/dp^2>|, the paper's bound on Dx Dv; None where mean_curv is."""
+        return None if self.mean_curv is None else 0.5 * abs(self.mean_curv)
+
 
 def _finite(raw):
     """The raw moment ``raw()``; ``OverflowSignal`` where it leaves the float
@@ -267,7 +272,7 @@ def moments_closed_form(packet):
 
 def uncertainty_bound(packet):
     """(1/2) |<d^2E/dp^2>| for the packet, from the closed forms."""
-    return 0.5 * abs(moments_closed_form(packet).mean_curv)
+    return moments_closed_form(packet).bound
 
 
 def ehrenfest_position(m0, t):

@@ -2,8 +2,8 @@
 
 Each check pits a closed form against an independent numerical route
 (quadrature oracle, evolved density grid, finite differences) at a fixed
-tolerance and reports pass/fail with the measured residual. The CLI
-``selfcheck`` subcommand and the acceptance tests both run this registry.
+tolerance and returns ``(passed, detail)``. The CLI ``selfcheck`` subcommand
+and the acceptance tests both print ``run_check``'s report line.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from .numerics import DEFAULT_SPEC, bessel_i_integer, bessel_j0_y0, bessel_k01
 from .packet import expectation_many, make_minimal
 from .propagation import density_grid, evolve_closed, evolve_quadrature, greens_closed
 
-__all__ = ["CheckResult", "CHECKS", "run_all", "reference_packets"]
+__all__ = ["CheckResult", "CHECKS", "run_check", "run_all", "reference_packets"]
 
 
 @dataclass
@@ -57,12 +57,17 @@ class CheckResult:
     detail: str
     elapsed: float
 
+    @property
+    def line(self):
+        """The report line: ``PASS name [t s] detail``, or ``FAIL ...``."""
+        return f"{'PASS' if self.passed else 'FAIL'} {self.name} [{self.elapsed:.1f}s] {self.detail}"
 
-def _result(name, worst, tol, extra=""):
+
+def _result(worst, tol, extra=""):
     detail = f"worst {worst:.3e} <= {tol:.0e}"
     if extra:
         detail += f"; {extra}"
-    return name, worst <= tol, detail
+    return worst <= tol, detail
 
 
 def _kind_rel(kind):
@@ -106,7 +111,7 @@ def check_moments_oracle(spec=DEFAULT_SPEC):
             d = _rel_diff(getattr(mq, field), closed)
             if d > worst:
                 worst, where = d, f"{kind} a={pk.alpha} b={pk.beta_r} {field}"
-    return _result("moments-oracle", worst, 1e-8, extra=where)
+    return _result(worst, 1e-8, extra=where)
 
 
 def check_saturation(spec=DEFAULT_SPEC):
@@ -116,7 +121,7 @@ def check_saturation(spec=DEFAULT_SPEC):
         mq = moments_quadrature(pk, spec)
         residual = abs(mq.width_x * mq.width_v - uncertainty_bound(pk))
         worst = max(worst, residual)
-    return _result("saturation", worst, 1e-7)
+    return _result(worst, 1e-7)
 
 
 def _spreading_packets():
@@ -140,10 +145,10 @@ def check_spreading_law(spec=DEFAULT_SPEC):
             pred_mean = ehrenfest_position(m0, t)
             worst_var = max(worst_var, abs(var - pred_var) / pred_var)
             worst_drift = max(worst_drift, abs(mean - pred_mean) / max(1.0, abs(pred_mean)))
-    name, ok_var, detail = _result("spreading-law", worst_var, 1e-5)
+    ok_var, detail = _result(worst_var, 1e-5)
     ok_drift = worst_drift <= 1e-6
     detail += f"; drift {worst_drift:.3e} <= 1e-06"
-    return name, ok_var and ok_drift, detail
+    return ok_var and ok_drift, detail
 
 
 def _continuation_grid(kind, m0):
@@ -167,7 +172,7 @@ def check_continuation(spec=DEFAULT_SPEC):
             j = int(np.argmax(d))
             if d[j] > worst:
                 worst, where = float(d[j]), f"{kind} x={xs[j]:.3g} t={t}"
-    return _result("greens-continuation", worst, 1e-6, extra=where)
+    return _result(worst, 1e-6, extra=where)
 
 
 def check_spacelike_tail(spec=DEFAULT_SPEC):
@@ -181,7 +186,7 @@ def check_spacelike_tail(spec=DEFAULT_SPEC):
     g = np.atleast_1d(greens_closed(rel, xs, t))
     mags = np.abs(g)
     if not np.all(mags > 0.0):
-        return "spacelike-tail", False, "tail vanished at a space-like point"
+        return False, "tail vanished at a space-like point"
     # Remove the known algebraic prefactor ~ s^{-3/2} so the fitted slope
     # isolates the exponential decay constant.
     slope = np.polyfit(s_vals, np.log(mags * s_vals**1.5), 1)[0]
@@ -199,7 +204,7 @@ def check_spacelike_tail(spec=DEFAULT_SPEC):
 
     passed = slope_err <= 0.05 and worst_band <= 1e-5
     detail = f"log-slope err {slope_err:.3e} <= 5e-02; overlap {worst_band:.3e} <= 1e-05"
-    return "spacelike-tail", passed, detail
+    return passed, detail
 
 
 def check_lorentz_suite(spec=DEFAULT_SPEC):
@@ -219,9 +224,9 @@ def check_lorentz_suite(spec=DEFAULT_SPEC):
     v_err = abs(direct["mean_v"] - pred.mean_v)
 
     a2, b2 = lorentz_boost_params(pk.alpha, pk.beta_r, u)
-    inv_err = abs((a2 * a2 - b2 * b2) - (pk.alpha**2 - pk.beta_r**2))
+    inv_err = abs((a2 - b2) * (a2 + b2) - (pk.alpha - pk.beta_r) * (pk.alpha + pk.beta_r))
 
-    excess = pred.width_x * pred.width_v - 0.5 * abs(pred.mean_curv)
+    excess = pred.width_x * pred.width_v - pred.bound
 
     u_small = 1e-5
     wave_small = boost_minimal_packet(pk, u_small, spec)
@@ -246,7 +251,7 @@ def check_lorentz_suite(spec=DEFAULT_SPEC):
         "; ".join(f"{n} {err:.2e}<= {tol:.0e}" for n, err, tol in checks)
         + f"; minimality excess {excess:.2e} >= 1e-04"
     )
-    return "lorentz-suite", passed, detail
+    return passed, detail
 
 
 def figure_grid(which):
@@ -304,7 +309,7 @@ def check_figures(spec=DEFAULT_SPEC):
     ok &= bimodal
     details.append(f"fig4 peaks at {peaks} (within 0.5 of +/-5)")
 
-    return "figures", bool(ok), "; ".join(details)
+    return bool(ok), "; ".join(details)
 
 
 def check_cosmology(spec=DEFAULT_SPEC):
@@ -399,7 +404,7 @@ def check_cosmology(spec=DEFAULT_SPEC):
     ]
     passed = all(err <= tol for _, err, tol in checks)
     detail = "; ".join(f"{n} {err:.2e}<= {tol:.0e}" for n, err, tol in checks)
-    return "cosmology", passed, detail
+    return passed, detail
 
 
 def check_special_functions(spec=DEFAULT_SPEC):
@@ -495,7 +500,7 @@ def check_special_functions(spec=DEFAULT_SPEC):
 
     passed = not failures
     detail = "all identities within tolerance" if passed else "; ".join(failures[:4])
-    return "special-functions", passed, f"{detail}; overlap {worst_overlap:.2e}"
+    return passed, f"{detail}; overlap {worst_overlap:.2e}"
 
 
 CHECKS = {
@@ -511,13 +516,13 @@ CHECKS = {
 }
 
 
-def run_all(names=None, spec=DEFAULT_SPEC):
-    """Run the named checks (all by default) and return their results."""
-    results = []
-    for name, fn in CHECKS.items():
-        if names is not None and name not in names:
-            continue
-        start = time.time()
-        check_name, passed, detail = fn(spec)
-        results.append(CheckResult(check_name, passed, detail, time.time() - start))
-    return results
+def run_check(name, spec=DEFAULT_SPEC):
+    """Run the check registered as ``name`` and time it."""
+    start = time.time()
+    passed, detail = CHECKS[name](spec)
+    return CheckResult(name, passed, detail, time.time() - start)
+
+
+def run_all(spec=DEFAULT_SPEC):
+    """Every check's result, in ``CHECKS`` order."""
+    return [run_check(name, spec) for name in CHECKS]

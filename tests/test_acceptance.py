@@ -12,14 +12,11 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 
 
 def _run(name, budget=None):
-    start = time.time()
-    check_name, passed, detail = selfcheck.CHECKS[name]()
-    elapsed = time.time() - start
-    line = f"{'PASS' if passed else 'FAIL'} {check_name} [{elapsed:.1f}s] {detail}"
-    print(line)
-    assert passed, line
+    result = selfcheck.run_check(name)
+    print(result.line)
+    assert result.passed, result.line
     if budget is not None:
-        assert elapsed <= budget, f"{check_name} exceeded {budget}s budget ({elapsed:.1f}s)"
+        assert result.elapsed <= budget, f"{name} exceeded {budget}s budget ({result.elapsed:.1f}s)"
 
 
 def test_criterion_1_moments_oracle():

@@ -224,7 +224,7 @@ class TestBoostedExpectations:
 
     def test_minimality_is_frame_dependent(self):
         pred = boosted_expectations(make_minimal(REL, 1.0, 0.0, 0.0), 0.6)
-        assert pred.width_x * pred.width_v - 0.5 * abs(pred.mean_curv) >= 1e-4
+        assert pred.width_x * pred.width_v - pred.bound >= 1e-4
 
     @pytest.mark.parametrize(
         "alpha,beta_r,u",
@@ -249,7 +249,7 @@ class TestBoostedExpectations:
         var_v, mean_curv = _direct_spread(boost_minimal_packet(pk, u))
         assert pred.var_v == pytest.approx(var_v, rel=1e-6)
         assert pred.mean_curv == pytest.approx(mean_curv, rel=1e-10)
-        assert pred.width_x * pred.width_v - 0.5 * abs(pred.mean_curv) >= 0.0
+        assert pred.width_x * pred.width_v - pred.bound >= 0.0
 
     def test_far_translated_width_at_zero_boost(self):
         # The boosted <x^2> minus <x>^2 cancelled beta_i^2 = 1e10 here.

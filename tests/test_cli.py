@@ -4,13 +4,14 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from wavekit import cli
+from wavekit import cli, moments, selfcheck
 
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -214,6 +215,45 @@ def test_far_translated_spread_meets_the_gate(kind, beta_i):
                  "--format", "json")
     assert cp.returncode == 0, cp.stderr
     assert json.loads(cp.stdout)["meta"]["max_rel_deviation"] <= 1e-13
+
+
+@pytest.mark.parametrize("method", ["both", "closed", "quadrature"])
+def test_moments_runs_the_closed_forms_once(monkeypatch, capsys, method):
+    # The bound is read from the one closed set, not from a second
+    # uncertainty_bound pass (2, 2 and 1 calls before).
+    calls = []
+    closed_form = cli.moments_closed_form
+
+    def counted(packet):
+        calls.append(packet)
+        return closed_form(packet)
+
+    # Both bindings: the CLI's own and the one uncertainty_bound reads.
+    monkeypatch.setattr(cli, "moments_closed_form", counted)
+    monkeypatch.setattr(moments, "moments_closed_form", counted)
+    argv = ["moments", "--dispersion", "rel", "--alpha", "1", "--beta-re", "0.5", "--method", method]
+    assert cli.main(argv) == 0
+    rows = {line.split(",")[0]: line.split(",") for line in capsys.readouterr().out.splitlines()}
+    assert len(calls) == 1
+    assert rows["uncertainty_bound"][1] == "0.2197286155329"
+    assert (rows["mean_x"][1] != "") == (method != "quadrature")
+
+
+def test_spread_deviation_is_relative_at_any_scale(monkeypatch, capsys):
+    # A grid variance 1e-3 off must read 1e-3 however small Var x is; the
+    # old floor max(analytic, 1e-30) read 5e-14 for Var x ~ 5e-41.
+    evolved_central = cli._evolved_central
+
+    def off(packet, t, m0, spec):
+        mass, mean, var = evolved_central(packet, t, m0, spec)
+        return mass, mean, var * (1.0 + 1e-3)
+
+    monkeypatch.setattr(cli, "_evolved_central", off)
+    argv = ["spread", "--dispersion", "nonrel", "--alpha", "1e-40", "--t-max", "1e-60",
+            "--t-steps", "2", "--format", "json"]
+    assert cli.main(argv) == 0
+    dev = json.loads(capsys.readouterr().out)["meta"]["max_rel_deviation"]
+    assert dev == pytest.approx(1e-3, rel=1e-6)
 
 
 def test_boost_report(tmp_path):
@@ -552,6 +592,28 @@ def test_python_m_wavekit_selfcheck():
     )
     assert cp.returncode == 0, cp.stderr
     assert cp.stdout.rstrip().endswith("selfcheck: all checks passed")
+
+
+def test_selfcheck_lines_are_run_check_lines():
+    # One report line: the CLI prints CheckResult.line, as the acceptance
+    # tests do, for every check in registry order.
+    cp = subprocess.run(
+        [sys.executable, "-m", "wavekit", "selfcheck"], capture_output=True, text=True,
+        env=checkout_env(),
+    )
+    assert cp.returncode == 0, cp.stderr
+
+    def untimed(line):
+        return re.sub(r" \[\d+\.\ds\] ", " ", line)
+
+    printed = [untimed(line) for line in cp.stdout.splitlines()[:-1]]
+    assert printed == [untimed(selfcheck.run_check(name).line) for name in selfcheck.CHECKS]
+
+
+def test_run_all_keeps_registry_order():
+    results = selfcheck.run_all()
+    assert [r.name for r in results] == list(selfcheck.CHECKS)
+    assert all(r.passed for r in results)
 
 
 def _write_config(tmp_path, entries, name="run.json"):

@@ -344,6 +344,19 @@ class TestUncertaintyBound:
         pk = make_minimal(MASSLESS, 1.0, 0.5, 0.0)
         assert uncertainty_bound(pk) == pytest.approx(0.75, rel=1e-10)
 
+    @pytest.mark.parametrize("rel", [NONREL, LATTICE, REL, MASSLESS], ids=["nonrel", "lattice", "rel", "massless"])
+    def test_bound_is_a_moment_set_property(self, rel):
+        # One definition: uncertainty_bound reads the closed set's bound, and
+        # a set without <E''> (the massless oracle) has no bound.
+        pk = make_minimal(rel, 1.0, 0.0 if rel is LATTICE else 0.5, 0.0)
+        closed = moments_closed_form(pk)
+        assert closed.bound == uncertainty_bound(pk) == 0.5 * abs(closed.mean_curv)
+        quad = moments_quadrature(pk)
+        if rel is MASSLESS:
+            assert quad.mean_curv is None and quad.bound is None
+        else:
+            assert quad.bound == pytest.approx(closed.bound, rel=1e-8)
+
 
 class TestSpreadingLaw:
     def test_ehrenfest_arithmetic(self):
