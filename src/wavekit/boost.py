@@ -58,9 +58,6 @@ class BoostedWave:
     mass: float
     window: tuple
 
-    def __call__(self, p_prime):
-        return self.evaluator(p_prime)
-
 
 def galilean_boost(packet, u):
     """Boost a non-relativistic packet: alpha' = alpha, beta' = beta - u alpha."""

@@ -1,14 +1,9 @@
 """Acceptance criteria, one test per criterion, each printing a pass/fail
 line with the measured residuals and running at its stated tolerance."""
 
-import os
-import subprocess
-import sys
 import time
 
 from wavekit import selfcheck
-
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def _run(name, budget=None):
@@ -56,16 +51,9 @@ def test_criterion_9_special_functions():
     _run("special-functions", budget=10.0)
 
 
-def test_criterion_10_selfcheck_cli():
+def test_criterion_10_selfcheck_cli(launch):
     start = time.time()
-    cp = subprocess.run(
-        [sys.executable, "-m", "wavekit.cli", "selfcheck"],
-        capture_output=True,
-        text=True,
-        # The subprocess imports the wavekit under test, installed or not.
-        env=dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [SRC, os.environ.get("PYTHONPATH")]))),
-    )
+    cp = launch("wavekit.cli", "selfcheck")
     elapsed = time.time() - start
     print(cp.stdout.strip())
     assert cp.returncode == 0, cp.stdout + cp.stderr

@@ -179,7 +179,7 @@ def _direct_spread(wave):
 
     def moment(weight):
         def f(p_prime):
-            return weight(p_prime) * (np.abs(wave(p_prime)) ** 2)[:, np.newaxis]
+            return weight(p_prime) * (np.abs(wave.evaluator(p_prime)) ** 2)[:, np.newaxis]
 
         return numerics._line_integral(f, *wave.window, numerics.DEFAULT_SPEC, columns=2)[0].real
 

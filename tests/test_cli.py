@@ -1,12 +1,14 @@
 """End-to-end CLI runs: schemas, determinism, config precedence."""
 
 import csv
+import io
 import json
 import math
 import os
 import re
 import subprocess
-import sys
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,31 +16,29 @@ import pytest
 from wavekit import cli, moments, selfcheck
 
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-
-
-def checkout_env(extra=None):
-    """The environment with this checkout's ``src/`` first on PYTHONPATH, so a
-    CLI subprocess imports the wavekit under test, installed or not. A None
-    in ``extra`` removes that variable."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    for key, value in (extra or {}).items():
-        if value is None:
-            env.pop(key, None)
-        else:
-            env[key] = value
-    return env
-
-
 def run_cli(*args, env_extra=None, cwd=None):
-    return subprocess.run(
-        [sys.executable, "-m", "wavekit.cli", *args],
-        capture_output=True,
-        text=True,
-        env=checkout_env(env_extra),
-        cwd=cwd,
-    )
+    """Run ``wavekit *args`` through ``cli.main`` in this process and return
+    what a subprocess run would: the exit code and the captured stdout and
+    stderr. ``env_extra`` patches the environment for the run (a None value
+    removes that variable), ``cwd`` is its working directory, and argparse's
+    ``SystemExit`` becomes the exit code."""
+    out, err = io.StringIO(), io.StringIO()
+    home = os.getcwd()
+    with mock.patch.dict(os.environ), redirect_stdout(out), redirect_stderr(err):
+        for key, value in (env_extra or {}).items():
+            if value is None:
+                os.environ.pop(key, None)
+            else:
+                os.environ[key] = value
+        try:
+            if cwd is not None:
+                os.chdir(cwd)
+            code = cli.main(list(args))
+        except SystemExit as exc:
+            code = exc.code
+        finally:
+            os.chdir(home)
+    return subprocess.CompletedProcess(["wavekit", *args], code, out.getvalue(), err.getvalue())
 
 
 def read_csv(path):
@@ -90,6 +90,16 @@ def test_moments_both_methods_gaussian_core(tmp_path):
     for name, closed, _quad, diff in rows:
         if closed and diff:
             assert float(diff) <= 1e-8 * max(1.0, abs(float(closed))), name
+
+
+def test_readme_moments_at_a_tighter_tolerance():
+    cp = run_cli(*MOMENT_ARGS, "--tol", "1e-13", "--format", "json")
+    assert cp.returncode == 0, cp.stderr
+    data = json.loads(cp.stdout)
+    assert data["meta"]["tolerance"] == 1e-13
+    assert data["meta"]["max_abs_diff"] <= 1e-8
+    rows = {row[0]: row for row in data["rows"]}
+    assert max(abs(v) for v in rows["saturation_residual"][1:3]) <= 1e-7
 
 
 def test_byte_identical_reruns(tmp_path):
@@ -148,21 +158,39 @@ def test_evolve_grid_schema(tmp_path):
     assert all(float(r[2]) >= 0.0 for r in rows)
 
 
-def test_evolve_quadrature_matches_closed(tmp_path):
-    args = ("evolve", "--dispersion", "rel", "--mass", "1", "--alpha", "1", "--beta-re", "0.5",
-            "--x-min", "-8", "--x-max", "8", "--x-steps", "41", "--t-min", "0", "--t-max", "5",
-            "--t-steps", "3", "--format", "json")
-    data = {}
-    for method in ("closed", "quadrature"):
-        out = tmp_path / f"{method}.json"
-        cp = run_cli(*args, "--method", method, "--out", str(out))
-        assert cp.returncode == 0, cp.stderr
-        data[method] = json.loads(out.read_text())
-    assert set(data["quadrature"]["meta"]) == {"tolerance", "method", "max_mass_deviation"}
-    closed = np.array(data["closed"]["rows"])
-    quad = np.array(data["quadrature"]["rows"])
-    assert np.array_equal(closed[:, :2], quad[:, :2])
-    assert np.max(np.abs(closed[:, 2] - quad[:, 2])) <= 1e-12
+def _evolve_both_ways(*args):
+    """``evolve *args`` by the closed form and by the quadrature oracle: the
+    oracle's meta and the largest density difference on their one grid."""
+    runs = [run_cli("evolve", *args, "--format", "json", "--method", m) for m in ("closed", "quadrature")]
+    assert all(cp.returncode == 0 for cp in runs), [cp.stderr for cp in runs]
+    closed, quad = (json.loads(cp.stdout) for cp in runs)
+    closed_rows, quad_rows = np.array(closed["rows"]), np.array(quad["rows"])
+    assert np.array_equal(closed_rows[:, :2], quad_rows[:, :2])
+    return quad["meta"], np.max(np.abs(closed_rows[:, 2] - quad_rows[:, 2]))
+
+
+def test_evolve_quadrature_matches_closed():
+    meta, diff = _evolve_both_ways(
+        "--dispersion", "rel", "--mass", "1", "--alpha", "1", "--beta-re", "0.5", "--x-min", "-8",
+        "--x-max", "8", "--x-steps", "41", "--t-min", "0", "--t-max", "5", "--t-steps", "3",
+    )
+    assert set(meta) == {"tolerance", "method", "max_mass_deviation"}
+    assert diff <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--dispersion", "nonrel", "--mass", "3", "--alpha", "1", "--x-steps", "201", "--t-steps", "6"),
+        ("--dispersion", "lattice", "--alpha", "1", "--x-steps", "17", "--t-steps", "3"),
+    ],
+    ids=["readme", "lattice-periodic"],
+)
+def test_evolve_oracle_matches_closed(flags):
+    # The README's evolve grid and the lattice's periodic-rule oracle, whose
+    # 17 positions on [-8, 8] are lattice sites.
+    _, diff = _evolve_both_ways(*flags, "--x-min", "-8", "--x-max", "8", "--t-min", "0", "--t-max", "5")
+    assert diff <= 1e-12
 
 
 def test_spread_table(tmp_path):
@@ -563,6 +591,16 @@ def test_far_translated_moments_saturate():
     assert abs(rows["saturation_residual"][2]) <= 1e-7
 
 
+def test_far_translated_lattice_moments_saturate():
+    cp = run_cli(
+        "moments", "--dispersion", "lattice", "--alpha", "1", "--beta-im", "100000",
+        "--method", "both", "--format", "json",
+    )
+    assert cp.returncode == 0, cp.stderr
+    rows = {row[0]: row for row in json.loads(cp.stdout)["rows"]}
+    assert max(abs(v) for v in rows["saturation_residual"][1:3]) <= 1e-7
+
+
 def test_rel_closed_form_near_light_speed():
     # beta_r/alpha = 0.999: an adaptive K_0 integral gave mean_x2 < 0 here.
     cp = run_cli(
@@ -572,6 +610,16 @@ def test_rel_closed_form_near_light_speed():
     assert cp.returncode == 0, cp.stderr
     closed = {row[0]: row[1] for row in json.loads(cp.stdout)["rows"]}
     assert closed["mean_x2"] == pytest.approx(9.23774538417437e-4, rel=1e-8)  # mpmath
+
+
+def test_rel_bound_near_light_speed_matches_its_oracle():
+    cp = run_cli(
+        "moments", "--dispersion", "rel", "--mass", "5", "--alpha", "100",
+        "--beta-re", "99.9", "--method", "both", "--format", "json",
+    )
+    assert cp.returncode == 0, cp.stderr
+    _, closed, _quad, diff = {row[0]: row for row in json.loads(cp.stdout)["rows"]}["uncertainty_bound"]
+    assert diff <= 1e-8 * closed
 
 
 def test_header_only_model_file(tmp_path):
@@ -585,29 +633,46 @@ def test_header_only_model_file(tmp_path):
     assert cp.stderr == "error: model file has no data rows\n"
 
 
-def test_python_m_wavekit_selfcheck():
-    cp = subprocess.run(
-        [sys.executable, "-m", "wavekit", "selfcheck"], capture_output=True, text=True,
-        env=checkout_env(),
-    )
-    assert cp.returncode == 0, cp.stderr
-    assert cp.stdout.rstrip().endswith("selfcheck: all checks passed")
+@pytest.fixture(scope="module")
+def selfcheck_process(launch):
+    # One `python -m wavekit selfcheck` run serves both tests below.
+    return launch("wavekit", "selfcheck")
 
 
-def test_selfcheck_lines_are_run_check_lines():
+def test_python_m_wavekit_selfcheck(selfcheck_process):
+    assert selfcheck_process.returncode == 0, selfcheck_process.stderr
+    assert selfcheck_process.stdout.rstrip().endswith("selfcheck: all checks passed")
+
+
+def test_selfcheck_lines_are_run_check_lines(selfcheck_process):
     # One report line: the CLI prints CheckResult.line, as the acceptance
     # tests do, for every check in registry order.
-    cp = subprocess.run(
-        [sys.executable, "-m", "wavekit", "selfcheck"], capture_output=True, text=True,
-        env=checkout_env(),
-    )
-    assert cp.returncode == 0, cp.stderr
+    assert selfcheck_process.returncode == 0, selfcheck_process.stderr
 
     def untimed(line):
         return re.sub(r" \[\d+\.\ds\] ", " ", line)
 
-    printed = [untimed(line) for line in cp.stdout.splitlines()[:-1]]
+    printed = [untimed(line) for line in selfcheck_process.stdout.splitlines()[:-1]]
     assert printed == [untimed(selfcheck.run_check(name).line) for name in selfcheck.CHECKS]
+
+
+@pytest.mark.parametrize(
+    "args, code, prefix",
+    [
+        (("moments", "--dispersion", "nonrel", "--alpha", "1", "--beta-im", "1e200"), 2, "error: "),
+        # 1e-18 lies below double rounding, so no quadrature meets it.
+        (("moments", "--dispersion", "nonrel", "--alpha", "1", "--tol", "1e-18"), 1,
+         "numerical failure: "),
+    ],
+    ids=["config-error", "numerical-failure"],
+)
+def test_exit_code_of_a_fresh_interpreter(launch, args, code, prefix):
+    # The process boundary: `sys.exit(main())` makes main's return value the
+    # exit code, and the failure is one stderr line with no traceback.
+    cp = launch("wavekit.cli", *args)
+    assert cp.returncode == code
+    assert cp.stderr.startswith(prefix)
+    assert len(cp.stderr.splitlines()) == 1
 
 
 def test_run_all_keeps_registry_order():
@@ -719,12 +784,25 @@ _SCALED_FLAGS = {
 _UNRESOLVED = {("spread", "rel", "--alpha", "1e-10"), ("spread", "massless", "--alpha", "1e-10")}
 
 
+_SWEEP_FLAGS = {
+    "boost": ("--boost-u", "0.5"),
+    # x = -10, -5, 0, 5, 10 lie on the sites at a = 1; the default 201-point
+    # grid does not, and every lattice run would exit 2.
+    "evolve": ("--x-steps", "5", "--t-steps", "2"),
+}
+
+
 def _scale_sweep():
-    for command in ("moments", "spread", "cosmo", "boost"):
+    for command in ("moments", "evolve", "spread", "cosmo", "boost"):
         for kind in ("rel",) if command == "boost" else _SCALED_FLAGS:
             for flag in _SCALED_FLAGS[kind]:
                 for value in _SCALES:
                     yield command, kind, flag, value
+
+
+def _assert_finite_table(out):
+    fields = [f for line in out.splitlines()[1:] for f in line.split(",")[1:] if f]
+    assert all(math.isfinite(float(f)) for f in fields), out
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -733,15 +811,53 @@ def test_scale_sweep(command, kind, flag, value, capsys):
     # Physically valid packets from 1e-300 to 1e300 in alpha, mass or spacing
     # (the others at 1): an answer with finite numbers or a typed error, never
     # a traceback or a warning.
-    argv = [command, "--dispersion", kind, "--alpha", "1", flag, value]
-    if command == "boost":
-        argv += ["--boost-u", "0.5"]
+    argv = [command, "--dispersion", kind, "--alpha", "1", flag, value, *_SWEEP_FLAGS.get(command, ())]
     code = cli.main(argv)
-    out = capsys.readouterr().out
+    out, err = capsys.readouterr()
     if (command, kind, flag, value) in _UNRESOLVED:
         assert code == 1
         return
     assert code in (0, 2)
     if code == 0:
-        fields = [f for line in out.splitlines()[1:] for f in line.split(",")[1:] if f]
-        assert all(math.isfinite(float(f)) for f in fields), out
+        _assert_finite_table(out)
+    else:
+        assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("moments", "--dispersion", "nonrel", "--alpha", "1e-50"),
+        ("moments", "--dispersion", "nonrel", "--alpha", "1", "--mass", "1e100"),
+        ("moments", "--dispersion", "nonrel", "--alpha", "1", "--mass", "1e-100"),
+        ("spread", "--dispersion", "massless", "--alpha", "1e50"),
+        ("boost", "--dispersion", "rel", "--alpha", "1", "--mass", "1e-300", "--boost-u", "0.5"),
+    ],
+    ids=["nonrel-alpha-1e-50", "nonrel-mass-1e100", "nonrel-mass-1e-100", "massless-alpha-1e50",
+         "boost-mass-1e-300"],
+)
+def test_oracle_at_extreme_scales(args):
+    # The sweep accepts a typed error; these packets' oracles must answer.
+    cp = run_cli(*args)
+    assert cp.returncode == 0, cp.stderr
+    _assert_finite_table(cp.stdout)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("moments", "--dispersion", "rel"),
+        ("moments", "--dispersion", "massless"),
+        ("cosmo", "--dispersion", "rel"),
+        ("cosmo", "--dispersion", "massless"),
+        ("spread", "--dispersion", "rel"),
+        ("spread", "--dispersion", "massless"),
+        ("boost", "--dispersion", "rel", "--boost-u", "0.5"),
+    ],
+    ids=lambda args: f"{args[0]}-{args[2]}",
+)
+def test_packet_quadratures_near_light_speed(args):
+    # beta_r/alpha = 1 - 1e-6; at 1 - 1e-8 these exit 1 (see CHANGES.md).
+    cp = run_cli(*args, "--alpha", "1", "--beta-re", "0.999999")
+    assert cp.returncode == 0, cp.stderr
+    _assert_finite_table(cp.stdout)

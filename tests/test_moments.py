@@ -290,6 +290,20 @@ def test_mean_curv_against_the_oracle(pk):
         assert abs(closed - quad) <= 1e-8 * abs(quad)
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="the rel quadrature oracle misses the curvature of light packets "
+    "(FOUND line in CHANGES.md): E'' = m^2/E^3 is a spike of width m at p = 0 "
+    "that no Gauss-Kronrod node resolves",
+)
+def test_light_rel_packet_bound_against_the_oracle():
+    # At m = 1e-3 the two agree to 3e-16; at m = 1e-10 the oracle reads
+    # 8.5e-16 against the closed 0.99999999969.
+    pk = make_minimal(DispersionRelation.relativistic(1e-10), 1.0)
+    closed, quad = moments_closed_form(pk).bound, moments_quadrature(pk).bound
+    assert abs(closed - quad) <= 1e-8 * closed
+
+
 def _curv_mpmath(mpmath, mass, alpha, beta_r):
     """m^2 <E^-3> at 30 digits from the float inputs: the ratio of two momentum
     integrals of the unnormalised density, split at p = 0, where E^-3 peaks,
